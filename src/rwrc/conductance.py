@@ -29,13 +29,16 @@ class ConductanceField:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        # A private read-only copy: walk tables are memoized on the field, so
+        # an in-place write must fail rather than leave them stale.
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != self.domain.n_edges:
             raise FieldMismatch(
                 f"field has {w.shape[0]} weights for a domain with {self.domain.n_edges} edges"
             )
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise NonPositiveWeight("edge weights must be strictly positive and finite")
+        w.setflags(write=False)
         self.weights = w
 
 

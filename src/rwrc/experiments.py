@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -431,7 +432,9 @@ def _write_summary(out: str, config: ExperimentConfig, extra: dict, wall: float)
         json.dump(doc, fh, indent=2)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rwrc",
         description="Walks among heavy-tailed random conductances on finite domains.",

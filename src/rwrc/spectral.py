@@ -16,7 +16,7 @@ import numpy as np
 
 from .conductance import ConductanceField, require_same_domain, sample_field, site_totals
 from .domain import Domain
-from .errors import ArgumentOutOfRange, NonConvergence, UnsupportedDomain
+from .errors import ArgumentOutOfRange, DegenerateWeights, NonConvergence, UnsupportedDomain
 from .tail_law import TailLaw
 from .transforms import log_pair_sum_tail
 
@@ -43,58 +43,19 @@ def assemble(f: ConductanceField, dom: Domain) -> DirichletOperator:
     a = np.zeros((n, n))
     np.fill_diagonal(a, site_totals(f))
     inside = dom.edge_b >= 0
-    for ia, ib, w in zip(dom.edge_a[inside], dom.edge_b[inside], f.weights[inside]):
-        a[ia, ib] = -w
-        a[ib, ia] = -w
+    ia, ib, w = dom.edge_a[inside], dom.edge_b[inside], f.weights[inside]
+    a[ia, ib] = -w
+    a[ib, ia] = -w
     return DirichletOperator(dom, a)
 
 
-def eigen(op: DirichletOperator, max_sweeps: int = 100, tol: float = 1e-14) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations."""
-    a = np.array(op.matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return SpectralDecomposition(a[0].copy(), v)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return SpectralDecomposition(np.zeros(n), v)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= tol * scale:
-            order = np.argsort(np.diag(a), kind="stable")
-            return SpectralDecomposition(np.diag(a)[order].copy(), v[:, order].copy())
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    tk = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    tk = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(tk * tk + 1.0)
-                s = tk * c
-                tau = s / (1.0 + c)
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - tk * apq
-                a[q, q] = aqq + tk * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = a[r, p], a[r, q]
-                    a[r, p] = arp - s * (arq + tau * arp)
-                    a[p, r] = a[r, p]
-                    a[r, q] = arq + s * (arp - tau * arq)
-                    a[q, r] = a[r, q]
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp - s * (vq + tau * vp)
-                v[:, q] = vq + s * (vp - tau * vq)
-    raise NonConvergence(f"Jacobi sweeps exhausted (max_sweeps={max_sweeps})")
+def eigen(op: DirichletOperator) -> SpectralDecomposition:
+    """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver."""
+    try:
+        lam, vec = np.linalg.eigh(op.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"LAPACK eigensolver failed: {exc}") from exc
+    return SpectralDecomposition(lam, vec)
 
 
 def _nonexit_from_decomposition(dec: SpectralDecomposition, start: int, t: float) -> float:
@@ -164,7 +125,8 @@ def eigen_tail(
 
     On a single-site domain in d=1 the eigenvalue is the sum of the two
     boundary weights and the tail is computed by quadrature; otherwise it is
-    estimated by Monte Carlo over sampled fields.
+    estimated by Monte Carlo over sampled fields, and an eps that no sampled
+    field reaches raises DegenerateWeights.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size == 0 or not np.all(eps_arr > 0):
@@ -187,9 +149,13 @@ def eigen_tail(
             lam[i] = dec.eigenvalues[0]
         for eps in eps_arr:
             p = float(np.mean(lam <= eps))
-            lp = float(np.log(p)) if p > 0 else float("-inf")
-            scaled = float(eps**law.eta * lp) if p > 0 else float("nan")
-            points.append(EigenTailPoint(float(eps), p, lp, scaled))
+            if p == 0.0:
+                raise DegenerateWeights(
+                    f"no field of {lam.size} has lambda1 <= eps = {eps:g}; "
+                    "the tail estimate is undefined"
+                )
+            lp = float(np.log(p))
+            points.append(EigenTailPoint(float(eps), p, lp, float(eps**law.eta * lp)))
     else:
         raise ArgumentOutOfRange(f"unknown tail method {method!r}")
     return points

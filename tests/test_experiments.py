@@ -19,6 +19,7 @@ from rwrc.experiments import (
     run_cli,
     tauberian_check,
 )
+from rwrc import spectral
 from rwrc.conductance import field_from_json
 from rwrc.rates import joint_rate_J, k_const
 from rwrc.tail_law import TailLaw
@@ -163,6 +164,21 @@ def test_is_beats_plain_mc():
     assert isa.rel_se < 0.5 * mc.rel_se
     assert abs(isa.log_estimate - ref.log_estimate) <= 3.0 * isa.rel_se
     assert mc.estimate < 0.01 * ref.estimate
+
+
+def test_plain_mc_one_eigensolve_per_field(monkeypatch):
+    calls = []
+    eigen = spectral.eigen
+
+    def counting_eigen(op):
+        calls.append(op)
+        return eigen(op)
+
+    monkeypatch.setattr(spectral, "eigen", counting_eigen)
+    c = make_config(domain={"type": "box", "d": 2, "half_width": 1}, times=[10.0, 20.0], trials=40)
+    annealed_nonexit_mc(c)
+    assert len(calls) == 2 * 40
+    assert all(op.matrix.shape == (9, 9) for op in calls)
 
 
 def test_estimates_reproducible():
@@ -399,6 +415,35 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2
     # --help exits cleanly
     assert run(["--help"]) == 0
+
+
+MC_BOX2D_ARGS = [
+    "nonexit", "--method", "mc", "--domain", "box2d:1", "--t", 10, "--trials", 40, "--seed", 101,
+]
+
+
+def test_cli_nonexit_mc_seeded_value(tmp_path):
+    # computed with the earlier hand-written Jacobi eigensolver; LAPACK must reproduce it
+    out = tmp_path / "mc.csv"
+    assert run(MC_BOX2D_ARGS + ["--out", out]) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][1]) == pytest.approx(3.60857421791594e-07, rel=1e-9)
+
+
+def test_cli_eigensolver_failure_exits_2(tmp_path, monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert run(MC_BOX2D_ARGS + ["--out", tmp_path / "mc.csv"]) == 2
+
+
+def test_cli_eigen_tail_mc_without_hits_exits_2(tmp_path, capsys):
+    args = ["eigen-tail", "--method", "mc", "--domain", "box2d:1", "--eps", 0.5, "--seed", 1]
+    assert run(args + ["--out", tmp_path / "et.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "eps = 0.5" in err and "2000" in err
+    assert not (tmp_path / "et.csv").exists()
 
 
 def test_cli_reproducible(tmp_path):

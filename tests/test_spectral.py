@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rwrc.conductance import ConductanceField, sample_field
+from rwrc.conductance import ConductanceField, sample_field, site_totals
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import DomainMismatch, UnsupportedDomain
 from rwrc.profiles import ProbabilityProfile
@@ -70,23 +72,65 @@ def test_eigen_2x2_hand_values():
     assert np.allclose(dec.eigenvalues, [1.0, 3.0], rtol=1e-12)
 
 
-def test_eigen_matches_lapack():
+def _assemble_by_edge_loop(f, dom):
+    a = np.diag(site_totals(f))
+    for ia, ib, w in zip(dom.edge_a, dom.edge_b, f.weights):
+        if ib >= 0:
+            a[ia, ib] = a[ib, ia] = -w
+    return a
+
+
+def test_eigen_decomposition_invariants():
     law = TailLaw(1.0, 1.0)
     rng = np.random.default_rng(9)
     for dom in (box_domain(1, 2), box_domain(2, 1)):
         for _ in range(25):
             f = sample_field(law, dom, rng)
-            a = assemble(f, dom).matrix
-            dec = eigen(assemble(f, dom))
-            ref = np.linalg.eigvalsh(a)
+            op = assemble(f, dom)
+            a = op.matrix
+            assert np.array_equal(a, _assemble_by_edge_loop(f, dom))
+            dec = eigen(op)
+            lam, v = dec.eigenvalues, dec.eigenvectors
             scale = np.linalg.norm(a)
-            assert np.allclose(dec.eigenvalues, ref, atol=1e-10 * scale, rtol=1e-10)
-            v = dec.eigenvectors
+            assert np.abs(a @ v - v * lam[None, :]).max() <= 1e-10 * scale
             assert np.allclose(v.T @ v, np.eye(dom.n_sites), atol=1e-10)
-            res = a @ v - v * dec.eigenvalues[None, :]
-            assert np.abs(res).max() <= 1e-10 * scale
-            assert dec.eigenvalues[0] > 0
-            assert np.all(np.diff(dec.eigenvalues) >= -1e-12 * scale)
+            assert lam.sum() == pytest.approx(np.trace(a), rel=1e-12)
+            assert np.all(np.diff(lam) >= 0.0)
+            assert lam[0] > 0
+
+
+# box1d:1, the three-site chain started at an end, box2d:1
+_PROPERTY_DOMAINS = (box_domain(1, 1), build_domain([[0], [1], [2]], 1), box_domain(2, 1))
+
+
+@st.composite
+def _fields(draw):
+    dom = draw(st.sampled_from(_PROPERTY_DOMAINS))
+    w = draw(st.lists(st.floats(0.05, 20.0), min_size=dom.n_edges, max_size=dom.n_edges))
+    return ConductanceField(dom, np.array(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_fields(), t1=st.floats(0.0, 20.0), dt=st.floats(0.0, 20.0))
+def test_semigroup_in_unit_interval_and_nonincreasing(f, t1, dt):
+    dom = f.domain
+    p1 = semigroup_nonexit(f, dom, t1)
+    p2 = semigroup_nonexit(f, dom, t1 + dt)
+    assert 0.0 <= p2 <= 1.0 and 0.0 <= p1 <= 1.0
+    assert p2 <= p1 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_fields(), data=st.data())
+def test_lambda1_nondecreasing_in_each_weight(f, data):
+    dom = f.domain
+    e = data.draw(st.integers(0, dom.n_edges - 1))
+    factor = data.draw(st.floats(1.0, 50.0))
+    raised = f.weights.copy()
+    raised[e] *= factor
+    op = assemble(f, dom)
+    lam_raised = eigen(assemble(ConductanceField(dom, raised), dom)).eigenvalues[0]
+    assert lam_raised >= eigen(op).eigenvalues[0] - 1e-12 * np.linalg.norm(op.matrix)
 
 
 def test_semigroup_values():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rwrc.conductance import ConductanceField, sample_field
+from rwrc.conductance import ConductanceField, sample_field, scale_field
 from rwrc.domain import box_domain, build_domain
 from rwrc.spectral import semigroup_nonexit
 from rwrc.tail_law import TailLaw
-from rwrc.walk import local_times, nonexit_mc, occupation_mc, simulate
+from rwrc.walk import _walk_tables, local_times, nonexit_mc, occupation_mc, simulate
 
 
 def two_site():
@@ -187,3 +187,16 @@ def test_scaling_identity_paired():
         m1, m3 = (o1[:, z] / t).mean(), (o3[:, z] / s).mean()
         se = math.sqrt((o1[:, z] / t).var(ddof=1) / 20_000 + (o3[:, z] / s).var(ddof=1) / 20_000)
         assert abs(m1 - m3) <= 3 * se
+
+
+def test_walk_tables_follow_field_weights():
+    dom = box_domain(1, 0)
+    w = np.array([2.0, 2.0])
+    f = ConductanceField(dom, w)
+    w[:] = 7.0  # the field keeps its own copy
+    rates, _ = _walk_tables(f)
+    assert rates[0] == 4.0
+    with pytest.raises(ValueError):
+        f.weights[:] = 5.0
+    assert _walk_tables(f)[0][0] == 4.0
+    assert _walk_tables(scale_field(f, 5.0))[0][0] == 20.0
