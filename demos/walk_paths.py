@@ -23,10 +23,10 @@ print("site totals:", np.round(site_totals(f), 3))
 t = 3.0
 for k in range(4):
     p = simulate(f, dom, t, rng)
-    lt = local_times(p)
+    occ = local_times(p)
     tag = f"exited at {p.exit_time:.3f} through {p.exit_point}" if p.exited else "survived"
     print(f"\npath {k}: {p.n_jumps} jumps, {tag}")
-    print("  occupation:", np.round(lt.occupation, 3), " sum", round(lt.occupation.sum(), 12))
+    print("  occupation:", np.round(occ, 3), " sum", round(occ.sum(), 12))
 
 # long-run check: the fraction of time at each site stabilizes for walks
 # conditioned to stay, and every path books its elapsed time exactly

@@ -26,7 +26,6 @@ from .domain import (
     build_domain,
     domain_from_json,
     domain_to_json,
-    edge_set,
 )
 from .errors import RwrcError
 from .experiments import (
@@ -68,4 +67,4 @@ from .variational import (
     objective,
     solve_L,
 )
-from .walk import LocalTimes, PathRecord, local_times, nonexit_mc, occupation_mc, simulate
+from .walk import PathRecord, local_times, nonexit_mc, occupation_mc, simulate

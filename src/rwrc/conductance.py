@@ -23,14 +23,15 @@ from .tail_law import TailLaw, log_density, sample
 DEFAULT_CAP = 1e6
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConductanceField:
+    """Immutable weights on a domain: a read-only copy, validated once and
+    trusted by every layer."""
+
     domain: Domain
     weights: np.ndarray
 
     def __post_init__(self):
-        # A private read-only copy: walk tables are memoized on the field, so
-        # an in-place write must fail rather than leave them stale.
         w = np.array(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != self.domain.n_edges:
             raise FieldMismatch(
@@ -39,7 +40,7 @@ class ConductanceField:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise NonPositiveWeight("edge weights must be strictly positive and finite")
         w.setflags(write=False)
-        self.weights = w
+        object.__setattr__(self, "weights", w)
 
 
 def sample_field(law: TailLaw, dom: Domain, rng: np.random.Generator) -> ConductanceField:
@@ -81,6 +82,7 @@ def site_totals(f: ConductanceField) -> np.ndarray:
 
 
 def require_same_domain(f: ConductanceField, dom: Domain) -> None:
+    """Raise FieldMismatch unless f lives on a domain equal to dom."""
     if f.domain is not dom and not domains_equal(f.domain, dom):
         raise FieldMismatch("field domain does not match the requested domain")
 

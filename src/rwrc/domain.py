@@ -186,11 +186,6 @@ def build_domain(points, d: int) -> Domain:
     )
 
 
-def edge_set(dom: Domain) -> list[Edge]:
-    """Canonical edge enumeration: every pair {x, y} with x inside, once."""
-    return list(dom.edges)
-
-
 def box_domain(d: int, half_width: int) -> Domain:
     """Centered lattice box {-half_width, ..., half_width}^d."""
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:

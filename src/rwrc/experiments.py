@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conductance import ConductanceField, field_to_json, optimal_profile, sample_field
-from .domain import Domain, box_domain, build_domain
+from .domain import Domain, box_domain, build_domain, domains_equal
 from .errors import (
     ArgumentOutOfRange,
     DegenerateWeights,
@@ -39,7 +39,7 @@ from .girsanov import girsanov_log_density
 from .profiles import ProbabilityProfile
 from .rates import joint_rate_J, k_const
 from .spectral import eigen_tail, semigroup_nonexit
-from .tail_law import TailLaw, log_density, quantile
+from .tail_law import TailLaw, log_density, quantile, sample
 from .transforms import log_laplace_transform
 from .variational import brute_force_L, solve_L
 from .walk import _simulate_batch, simulate
@@ -173,12 +173,6 @@ def annealed_nonexit_quadrature(law: TailLaw, t: float) -> AnnealedEstimate:
     )
 
 
-def _prior_fields(law: TailLaw, dom: Domain, n: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random((n, dom.n_edges))
-    u = np.where(u > 0.0, u, np.nextafter(0.0, 1.0))
-    return np.asarray(quantile(law, u))
-
-
 def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Plain Monte Carlo: prior fields, spectral inner probability."""
     dom = config.build_domain()
@@ -186,7 +180,7 @@ def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     rng = _require_rng(config)
     out = []
     for t in config.times:
-        weights = _prior_fields(law, dom, config.trials, rng)
+        weights = sample(law, rng, (config.trials, dom.n_edges))
         probs = np.array(
             [semigroup_nonexit(ConductanceField(dom, w), dom, t) for w in weights]
         )
@@ -229,9 +223,7 @@ def _sample_tilted(
     law: TailLaw, scales: np.ndarray, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw fields from the scale-tilted proposal; return them with log weights."""
-    u = rng.random((n, scales.shape[0]))
-    u = np.where(u > 0.0, u, np.nextafter(0.0, 1.0))
-    x = np.asarray(quantile(law, u)) * scales[None, :]
+    x = sample(law, rng, (n, scales.shape[0])) * scales[None, :]
     log_prior = np.asarray(log_density(law, x)).sum(axis=1)
     log_prop = (np.asarray(log_density(law, x / scales[None, :])) - np.log(scales)[None, :]).sum(
         axis=1
@@ -334,9 +326,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     dom = config.build_domain()
     if dom.n_sites > 3:
         raise DomainTooLarge("profile tracking check supports at most 3 sites")
-    if g.domain is not dom and not (
-        g.domain.d == dom.d and bool(np.all(g.domain.sites == dom.sites))
-    ):
+    if g.domain is not dom and not domains_equal(g.domain, dom):
         raise DomainMismatch("profile domain does not match the config domain")
     law = config.law()
     rng = _require_rng(config)

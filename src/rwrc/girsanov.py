@@ -1,10 +1,10 @@
 """Change of measure between environments along walk paths.
 
 The pathwise log density of the walk in environment phi relative to psi is a
-sum over traversed edges of log weight ratios, corrected by the holding-time
-rate differences.  Paths stopped at the boundary include the exit edge's
-ratio and no further correction, which keeps the density normalized on the
-recorded path sigma-field.  Also provides the additive-band comparison bound
+sum over traversed edges of log weight ratios, minus the local times weighted
+by the jump-rate differences.  Paths stopped at the boundary include the exit
+edge's ratio and no further correction, which keeps the density normalized on
+the recorded path sigma-field.  Also provides the additive-band comparison bound
 and the test-function upper bound for occupation-measure events.
 """
 
@@ -20,49 +20,21 @@ from .errors import (
     ArgumentOutOfRange,
     DomainMismatch,
     EpsilonTooLarge,
-    FieldMismatch,
     NonPositiveArgument,
     UnsupportedSetShape,
 )
-from .domain import domains_equal
 from .spectral import semigroup_nonexit
-from .walk import PathRecord, simulate
-
-
-@dataclass(eq=False)
-class DensityEvaluation:
-    log_phi: float
-    path: PathRecord
-    target: ConductanceField
-    source: ConductanceField
+from .walk import PathRecord, local_times, simulate
 
 
 def girsanov_log_density(p: PathRecord, phi: ConductanceField, psi: ConductanceField) -> float:
     """log of the density of the phi-walk relative to the psi-walk along p."""
-    if not domains_equal(phi.domain, psi.domain) or not domains_equal(phi.domain, p.domain):
-        raise FieldMismatch("path and both fields must share one domain")
-    if np.any(phi.weights <= 0) or np.any(psi.weights <= 0):
-        raise NonPositiveArgument("both fields must be strictly positive")
+    require_same_domain(phi, p.domain)
+    require_same_domain(psi, p.domain)
     log_ratio = np.log(phi.weights) - np.log(psi.weights)
+    edges = np.append(p.jump_edges, p.exit_edge) if p.exited else p.jump_edges
     rate_diff = site_totals(phi) - site_totals(psi)
-    total = 0.0
-    prev = 0.0
-    for i in range(p.n_jumps):
-        tau = p.jump_times[i]
-        total += log_ratio[p.jump_edges[i]] - (tau - prev) * rate_diff[p.sites[i]]
-        prev = tau
-    last_site = p.sites[-1]
-    if p.exited:
-        total += log_ratio[p.exit_edge] - (p.exit_time - prev) * rate_diff[last_site]
-    else:
-        total += -(p.horizon - prev) * rate_diff[last_site]
-    return float(total)
-
-
-def density_evaluation(
-    p: PathRecord, phi: ConductanceField, psi: ConductanceField
-) -> DensityEvaluation:
-    return DensityEvaluation(girsanov_log_density(p, phi, psi), p, phi, psi)
+    return float(np.sum(log_ratio[edges]) - local_times(p) @ rate_diff)
 
 
 def reweighted_probability(

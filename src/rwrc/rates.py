@@ -12,21 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conductance import DEFAULT_CAP, ConductanceField, optimal_profile
-from .errors import DomainMismatch
-from .domain import domains_equal
+from .conductance import DEFAULT_CAP, ConductanceField, optimal_profile, require_same_domain
 from .profiles import ProbabilityProfile, edge_differences
 from .tail_law import TailLaw
 
 
-def _check_domains(phi: ConductanceField, g: ProbabilityProfile) -> None:
-    if phi.domain is not g.domain and not domains_equal(phi.domain, g.domain):
-        raise DomainMismatch("field and profile live on different domains")
-
-
 def dv_rate_I(phi: ConductanceField, g: ProbabilityProfile) -> float:
     """Donsker-Varadhan occupation rate of g**2 in the fixed environment phi."""
-    _check_domains(phi, g)
+    require_same_domain(phi, g.domain)
     diffs = edge_differences(g.domain, g.values)
     return float(np.sum(phi.weights * diffs**2))
 

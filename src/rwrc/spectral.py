@@ -66,15 +66,11 @@ def _nonexit_from_decomposition(dec: SpectralDecomposition, start: int, t: float
     return float(np.clip(val, 0.0, 1.0))
 
 
-def semigroup_nonexit(
-    f: ConductanceField, dom: Domain, t: float, start_index: int | None = None
-) -> float:
+def semigroup_nonexit(f: ConductanceField, dom: Domain, t: float) -> float:
     """Exact probability that the walk has not exited by time t."""
     if not (np.isfinite(t) and t >= 0):
         raise ArgumentOutOfRange(f"time must be finite and nonnegative, got {t!r}")
-    dec = eigen(assemble(f, dom))
-    start = dom.origin_index if start_index is None else int(start_index)
-    return _nonexit_from_decomposition(dec, start, float(t))
+    return _nonexit_from_decomposition(eigen(assemble(f, dom)), dom.origin_index, float(t))
 
 
 def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:

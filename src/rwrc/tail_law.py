@@ -69,11 +69,11 @@ def log_density(law: TailLaw, x):
     return out if arr.ndim else float(out)
 
 
-def sample(law: TailLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent draws by inverse transform, one uniform each."""
-    if n < 0:
-        raise ArgumentOutOfRange(f"sample count must be nonnegative, got {n}")
-    u = rng.random(int(n))
+def sample(law: TailLaw, rng: np.random.Generator, shape) -> np.ndarray:
+    """Independent draws of the given shape by inverse transform, one uniform each."""
+    if np.any(np.asarray(shape) < 0):
+        raise ArgumentOutOfRange(f"sample shape must be nonnegative, got {shape}")
+    u = rng.random(shape)
     # rng.random can return exactly 0, which the quantile rejects
     u = np.where(u > 0.0, u, np.nextafter(0.0, 1.0))
-    return np.asarray(quantile(law, u), dtype=float).reshape(-1)
+    return np.asarray(quantile(law, u), dtype=float)

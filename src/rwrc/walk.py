@@ -49,12 +49,6 @@ class PathRecord:
         return float(self.exit_time) if self.exited else self.horizon
 
 
-@dataclass(eq=False)
-class LocalTimes:
-    occupation: np.ndarray
-    horizon: float
-
-
 def _walk_tables(f: ConductanceField) -> tuple[np.ndarray, np.ndarray]:
     """Jump rates and cumulative edge-selection probabilities per site, memoized."""
     cached = getattr(f, "_walk_tables", None)
@@ -64,7 +58,8 @@ def _walk_tables(f: ConductanceField) -> tuple[np.ndarray, np.ndarray]:
     probs = f.weights[f.domain.site_edges] / rates[:, None]
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = 1.0
-    f._walk_tables = (rates, cum)
+    # the field is frozen with read-only weights, so the tables never go stale
+    object.__setattr__(f, "_walk_tables", (rates, cum))
     return rates, cum
 
 
@@ -73,14 +68,13 @@ def simulate(
     dom: Domain,
     t: float,
     rng: np.random.Generator,
-    start: int | None = None,
 ) -> PathRecord:
     """Run one path from the origin until it exits or reaches the horizon t."""
     if not (np.isfinite(t) and t >= 0):
         raise ArgumentOutOfRange(f"horizon must be a finite nonnegative time, got {t!r}")
     require_same_domain(f, dom)
     rates, cum = _walk_tables(f)
-    site = dom.origin_index if start is None else int(start)
+    site = dom.origin_index
     now = 0.0
     jump_times: list[float] = []
     visited = [site]
@@ -112,7 +106,7 @@ def simulate(
         site = target
     return PathRecord(
         domain=dom,
-        start=dom.origin_index if start is None else int(start),
+        start=dom.origin_index,
         jump_times=np.asarray(jump_times, dtype=float),
         sites=np.asarray(visited, dtype=np.int64),
         jump_edges=np.asarray(jump_edges, dtype=np.int64),
@@ -124,12 +118,12 @@ def simulate(
     )
 
 
-def local_times(p: PathRecord) -> LocalTimes:
+def local_times(p: PathRecord) -> np.ndarray:
     """Occupation time per site up to min(horizon, exit time)."""
     occ = np.zeros(p.domain.n_sites)
     bounds = np.concatenate(([0.0], p.jump_times, [p.end_time]))
     np.add.at(occ, p.sites, np.diff(bounds))
-    return LocalTimes(occupation=occ, horizon=p.horizon)
+    return occ
 
 
 def _simulate_batch(

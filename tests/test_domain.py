@@ -9,7 +9,6 @@ from rwrc.domain import (
     domain_from_json,
     domain_to_json,
     domains_equal,
-    edge_set,
 )
 from rwrc.errors import (
     ArgumentOutOfRange,
@@ -21,7 +20,7 @@ from rwrc.errors import (
 
 
 def edge_counts(dom):
-    kinds = [e.kind for e in edge_set(dom)]
+    kinds = [e.kind for e in dom.edges]
     return kinds.count("interior"), kinds.count("boundary")
 
 
@@ -30,7 +29,7 @@ def test_single_site_1d():
     assert dom.n_sites == 1
     interior, boundary = edge_counts(dom)
     assert interior == 0 and boundary == 2
-    exterior = sorted(e.b_point for e in edge_set(dom))
+    exterior = sorted(e.b_point for e in dom.edges)
     assert exterior == [(-1,), (1,)]
 
 
@@ -91,7 +90,7 @@ def test_canonical_ordering():
     a = build_domain([[0], [1], [-1]], 1)
     b = build_domain([[-1], [1], [0]], 1)
     assert domains_equal(a, b)
-    ea, eb = edge_set(a), edge_set(b)
+    ea, eb = a.edges, b.edges
     assert len(ea) == len(eb)
     for x, y in zip(ea, eb):
         assert (x.a, x.b, x.b_point, x.kind) == (y.a, y.b, y.b_point, y.kind)
@@ -106,7 +105,7 @@ def test_origin_index():
 
 def test_neighbor_tables_consistent():
     dom = box_domain(2, 1)
-    for e in edge_set(dom):
+    for e in dom.edges:
         if e.kind == "interior":
             assert e.b in dom.site_nbrs[e.a]
             assert e.a in dom.site_nbrs[e.b]
@@ -120,7 +119,7 @@ def test_neighbor_tables_consistent():
 def test_each_edge_listed_once():
     dom = box_domain(2, 1)
     seen = set()
-    for e in edge_set(dom):
+    for e in dom.edges:
         if e.kind == "interior":
             key = (min(e.a, e.b), max(e.a, e.b))
         else:

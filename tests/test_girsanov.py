@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwrc.conductance import ConductanceField, sample_field, site_totals
 from rwrc.domain import box_domain, build_domain
@@ -16,7 +18,6 @@ from rwrc.girsanov import (
     PointSet,
     VertexSet,
     comparison_bound_check,
-    density_evaluation,
     feynman_kac_upper_bound,
     girsanov_log_density,
     nonexit_event,
@@ -94,14 +95,38 @@ def test_cocycle_and_antisymmetry():
         assert girsanov_log_density(p, psi, phi) == -ab
 
 
-def test_density_evaluation_wrapper():
-    dom = two_site()
-    phi = ConductanceField(dom, np.array([0.5, 1.5, 2.0]))
-    psi = ConductanceField(dom, np.ones(3))
-    p = stay_path(dom, 1.0)
-    ev = density_evaluation(p, phi, psi)
-    assert ev.log_phi == girsanov_log_density(p, phi, psi)
-    assert math.isfinite(ev.log_phi)
+def reference_log_density(p, phi, psi):
+    """The density summed jump by jump, as a check on the local-time form."""
+    log_ratio = np.log(phi.weights) - np.log(psi.weights)
+    rate_diff = site_totals(phi) - site_totals(psi)
+    total = 0.0
+    prev = 0.0
+    for i in range(p.n_jumps):
+        tau = p.jump_times[i]
+        total += log_ratio[p.jump_edges[i]] - (tau - prev) * rate_diff[p.sites[i]]
+        prev = tau
+    last_site = p.sites[-1]
+    if p.exited:
+        total += log_ratio[p.exit_edge] - (p.exit_time - prev) * rate_diff[last_site]
+    else:
+        total += -(p.horizon - prev) * rate_diff[last_site]
+    return total
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_density_matches_per_jump_reference(seed):
+    dom = box_domain(2, 1)
+    rng = np.random.default_rng(seed)
+    phi = ConductanceField(dom, rng.uniform(0.2, 3.0, dom.n_edges))
+    psi = ConductanceField(dom, rng.uniform(0.2, 3.0, dom.n_edges))
+    paths = [simulate(psi, dom, 0.0, rng)] + [simulate(psi, dom, 1.0, rng) for _ in range(100)]
+    assert paths[0].n_jumps == 0
+    assert any(p.exited for p in paths)
+    assert any(p.n_jumps > 0 and not p.exited for p in paths)
+    for p in paths:
+        ref = reference_log_density(p, phi, psi)
+        assert abs(girsanov_log_density(p, phi, psi) - ref) <= 1e-12
 
 
 def test_field_mismatch():

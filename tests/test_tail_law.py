@@ -68,6 +68,9 @@ def test_sample_empty_and_deterministic():
     b = sample(law, np.random.default_rng(123), 50)
     assert np.array_equal(a, b)
     assert np.all(a > 0)
+    # a shaped draw consumes the stream in the same order as a flat one
+    grid = sample(law, np.random.default_rng(123), (5, 10))
+    assert grid.shape == (5, 10) and np.array_equal(grid.reshape(-1), a)
 
 
 def test_sample_binomial_check():
@@ -97,6 +100,8 @@ def test_argument_errors():
         quantile(law, 0.0)
     with pytest.raises(ArgumentOutOfRange):
         quantile(law, 1.0)
+    with pytest.raises(ArgumentOutOfRange):
+        sample(law, np.random.default_rng(0), (3, -1))
 
 
 def test_law_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,8 @@ def test_zero_horizon():
     f = ConductanceField(dom, np.array([1.0, 1.0]))
     p = simulate(f, dom, 0.0, np.random.default_rng(0))
     assert p.n_jumps == 0 and not p.exited
-    lt = local_times(p)
-    assert lt.occupation.sum() == 0.0
+    occ = local_times(p)
+    assert occ.sum() == 0.0
 
 
 def test_single_site_exit_time_mean():
@@ -54,10 +55,10 @@ def test_local_time_conservation():
     t = 3.0
     for _ in range(500):
         p = simulate(f, dom, t, rng)
-        lt = local_times(p)
+        occ = local_times(p)
         end = p.exit_time if p.exited else t
-        assert abs(lt.occupation.sum() - end) <= 1e-12 * t
-        assert np.all(lt.occupation >= 0)
+        assert abs(occ.sum() - end) <= 1e-12 * t
+        assert np.all(occ >= 0)
 
 
 def test_path_structure():
@@ -85,10 +86,10 @@ def test_two_site_local_times_split():
         p = simulate(f, dom, 1.0, rng)
         if p.exited or p.n_jumps != 1:
             continue
-        lt = local_times(p)
-        assert lt.occupation[p.start] == pytest.approx(p.jump_times[0], rel=1e-14)
+        occ = local_times(p)
+        assert occ[p.start] == pytest.approx(p.jump_times[0], rel=1e-14)
         other = p.sites[1]
-        assert lt.occupation[other] == pytest.approx(1.0 - p.jump_times[0], rel=1e-12)
+        assert occ[other] == pytest.approx(1.0 - p.jump_times[0], rel=1e-12)
 
 
 def test_holding_time_ks():
@@ -157,7 +158,7 @@ def test_occupation_mc_matches_per_path_engine():
     exited2 = np.empty(n, dtype=bool)
     for i in range(n):
         p = simulate(f, dom, t, rng)
-        occ2[i] = local_times(p).occupation
+        occ2[i] = local_times(p)
         exited2[i] = p.exited
     for z in range(dom.n_sites):
         m1, m2 = occ[:, z].mean(), occ2[:, z].mean()
@@ -198,5 +199,9 @@ def test_walk_tables_follow_field_weights():
     assert rates[0] == 4.0
     with pytest.raises(ValueError):
         f.weights[:] = 5.0
-    assert _walk_tables(f)[0][0] == 4.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.weights = np.array([10.0, 10.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.domain = box_domain(1, 1)
     assert _walk_tables(scale_field(f, 5.0))[0][0] == 20.0
+    assert _walk_tables(f)[0][0] == 4.0
