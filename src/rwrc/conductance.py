@@ -37,7 +37,7 @@ class ConductanceField:
             raise FieldMismatch(
                 f"field has {w.shape[0]} weights for a domain with {self.domain.n_edges} edges"
             )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not (w.min() > 0.0 and w.max() < np.inf):  # also false for NaN
             raise NonPositiveWeight("edge weights must be strictly positive and finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

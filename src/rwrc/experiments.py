@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import time as _time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -393,80 +393,181 @@ def _require_rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(config.seed)
 
 
-def _version() -> str:
-    from rwrc import __version__
-
-    return __version__
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _run_sample_field(args, config: ExperimentConfig, law: TailLaw):
+    dom = config.build_domain()
+    f = sample_field(law, dom, _require_rng(config))
+    status = f"sample-field: {dom.n_edges} weights"
+    return "field.json", field_to_json(f), {"n_edges": dom.n_edges}, status, 0
 
 
-def _summary_path(out: str) -> str:
-    stem = os.path.splitext(out)[0] if out.endswith((".csv", ".json")) else out
-    return stem + ".summary.json"
+def _run_simulate(args, config: ExperimentConfig, law: TailLaw):
+    dom = config.build_domain()
+    rng = _require_rng(config)
+    f = sample_field(law, dom, rng)
+    t = config.times[0]
+    p = simulate(f, dom, t, rng)
+    header = ["step", "time"] + [f"x{i}" for i in range(dom.d)]
+    rows = [header, [0, 0.0, *dom.site_tuple(p.start)]]
+    for i in range(p.n_jumps):
+        rows.append([i + 1, p.jump_times[i], *dom.site_tuple(int(p.sites[i + 1]))])
+    if p.exited:
+        rows.append([p.n_jumps + 1, p.exit_time, *p.exit_point])
+    status = f"exited at {p.exit_time:.6g}" if p.exited else f"survived to {t:g}"
+    status = f"simulate: {p.n_jumps} jumps, {status}"
+    return "path.csv", rows, {"exited": p.exited, "jumps": p.n_jumps}, status, 0
 
 
-def _write_summary(out: str, config: ExperimentConfig, extra: dict, wall: float) -> None:
+def _run_solve_variational(args, config: ExperimentConfig, law: TailLaw):
+    dom = config.build_domain()
+    res = solve_L(dom, law.eta)
     doc = {
-        "config": config.to_dict(),
-        "version": _version(),
-        "wall_time_s": wall,
+        "L": res.value,
+        "minimizer": res.minimizer.values.tolist(),
+        "minimizers": [m.tolist() for m in res.minimizers],
+        "iterations": res.iterations,
+        "restarts": res.restarts,
     }
-    doc.update(extra)
-    with open(_summary_path(out), "w") as fh:
-        json.dump(doc, fh, indent=2)
+    if args.brute_force:
+        doc["brute_force_L"] = brute_force_L(dom, law.eta).value
+    return "variational.json", doc, {}, f"solve-variational: L={res.value:.9g}", 0
+
+
+def _run_nonexit(args, config: ExperimentConfig, law: TailLaw):
+    if args.method == "quadrature":
+        dom = config.build_domain()
+        if dom.n_sites != 1 or dom.d != 1:
+            raise UnsupportedDomain("quadrature non-exit requires the single-site domain in d=1")
+        estimates = [annealed_nonexit_quadrature(law, t) for t in config.times]
+    elif args.method == "mc":
+        estimates = annealed_nonexit_mc(config)
+    else:
+        estimates = annealed_nonexit_is(config)
+    rows = [["t", "estimate", "se", "log_estimate", "rescaled", "method"]]
+    rows += [[e.t, e.estimate, e.se, e.log_estimate, e.rescaled, e.method] for e in estimates]
+    last = estimates[-1]
+    status = f"nonexit[{args.method}]: t={last.t:g} rescaled={last.rescaled:.6g}"
+    return "nonexit.csv", rows, {"rows": len(estimates)}, status, 0
+
+
+def _run_eigen_tail(args, config: ExperimentConfig, law: TailLaw):
+    dom = config.build_domain()
+    eps_list = [float(x) for x in args.eps.split(",") if x.strip()]
+    rng = _require_rng(config) if args.method == "mc" else None
+    points = eigen_tail(law, dom, eps_list, method=args.method, n_fields=args.fields, rng=rng)
+    rows = [["eps", "prob", "log_prob", "eps_eta_log_prob"]]
+    rows += [[pt.eps, pt.prob, pt.log_prob, pt.scaled_log] for pt in points]
+    status = f"eigen-tail[{args.method}]: eps={points[-1].eps:g} scaled={points[-1].scaled_log:.6g}"
+    return "eigen_tail.csv", rows, {"rows": len(points)}, status, 0
+
+
+def _run_tauberian(args, config: ExperimentConfig, law: TailLaw):
+    points = tauberian_check(law, args.m_const, config.times)
+    rows = [["t", "value", "target"]] + [[p.t, p.value, p.target] for p in points]
+    pt = points[-1]
+    status = f"tauberian: M={args.m_const:g} t={pt.t:g} value={pt.value:.6g} target={pt.target:.6g}"
+    return "tauberian.csv", rows, {"rows": len(points)}, status, 0
+
+
+def _run_ldp_check(args, config: ExperimentConfig, law: TailLaw):
+    dom = config.build_domain()
+    g = solve_L(dom, law.eta).minimizer
+    report = ldp_point_check(config, g)
+    status = "ok" if report["lower_bound_ok"] else "violated"
+    status = f"ldp-check: rate={report['rate_value']:.6g} lower bound {status}"
+    return "ldp_check.json", report, {}, status, 0 if report["lower_bound_ok"] else 2
+
+
+def _run_girsanov_test(args, config: ExperimentConfig, law: TailLaw):
+    lo, hi = args.lo, args.hi
+    if not (0 < lo <= hi):
+        raise ArgumentOutOfRange("the target band must satisfy 0 < lo <= hi")
+    dom = config.build_domain()
+    rng = _require_rng(config)
+    t = config.times[0]
+    psi = ConductanceField(dom, np.ones(dom.n_edges))
+    phi = ConductanceField(dom, lo + (hi - lo) * rng.random(dom.n_edges))
+    chi = ConductanceField(dom, lo + (hi - lo) * rng.random(dom.n_edges))
+    vals = np.empty(config.trials)
+    cocycle_err = 0.0
+    antisym_err = 0.0
+    check_paths = min(200, config.trials)
+    for i in range(config.trials):
+        p = simulate(psi, dom, t, rng)
+        lp = girsanov_log_density(p, phi, psi)
+        vals[i] = np.exp(lp)
+        if i < check_paths:
+            lq = girsanov_log_density(p, chi, phi)
+            lr = girsanov_log_density(p, chi, psi)
+            cocycle_err = max(cocycle_err, abs(lp + lq - lr))
+            antisym_err = max(antisym_err, abs(lp + girsanov_log_density(p, psi, phi)))
+    mean = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / np.sqrt(config.trials))
+    z = (mean - 1.0) / se if se > 0 else 0.0
+    ok = abs(z) <= 3.0 and cocycle_err <= 1e-12 and antisym_err <= 1e-12
+    report = {
+        "t": float(t),
+        "trials": config.trials,
+        "mean": mean,
+        "se": se,
+        "z": float(z),
+        "cocycle_err": float(cocycle_err),
+        "antisym_err": float(antisym_err),
+        "ok": bool(ok),
+    }
+    status = f"girsanov-test: mean={mean:.6f} z={z:.3f} cocycle={cocycle_err:.3g}"
+    return "girsanov_test.json", report, {}, status, 0 if ok else 2
+
+
+# name: (help, runner, extra arguments as (flag, add_argument keywords) pairs).  A runner
+# returns (default output name, body, sidecar extras, status, exit code); run_cli
+# writes the body and prints "<status> -> <output path>".
+COMMANDS = {
+    "sample-field": ("draw one conductance field as JSON", _run_sample_field, []),
+    "simulate": ("simulate one path and dump it as CSV", _run_simulate, []),
+    "solve-variational": ("domain constant and minimizer", _run_solve_variational, [
+        ("--brute-force", dict(action="store_true", help="also run the grid oracle")),
+    ]),
+    "nonexit": ("annealed non-exit estimates", _run_nonexit, [
+        ("--method", dict(choices=("quadrature", "mc", "is"), default="quadrature")),
+    ]),
+    "eigen-tail": ("principal eigenvalue lower tail", _run_eigen_tail, [
+        ("--eps", dict(help="comma-separated eps grid", default="0.01")),
+        ("--method", dict(choices=("quadrature", "mc"), default="quadrature")),
+        ("--fields", dict(type=int, default=2000, help="MC field count")),
+    ]),
+    "tauberian": ("Laplace-transform tail identity", _run_tauberian, [
+        ("--M", dict(type=float, default=1.0, dest="m_const")),
+    ]),
+    "ldp-check": ("profile-tracking lower bound check", _run_ldp_check, []),
+    "girsanov-test": ("reweighting normalization check", _run_girsanov_test, [
+        ("--lo", dict(type=float, default=0.5, help="lower edge of the target band")),
+        ("--hi", dict(type=float, default=2.0, help="upper edge of the target band")),
+    ]),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process; parsing leaves it unchanged."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--eta", type=float, help="tail exponent")
+    common.add_argument("--D", type=float, dest="dcoef", help="tail scale coefficient")
+    common.add_argument("--domain", help="domain shorthand, e.g. box1d:2")
+    common.add_argument("--times", help="comma-separated time grid")
+    common.add_argument("--t", type=float, help="single time, overrides --times")
+    common.add_argument("--trials", type=int, help="Monte Carlo trial count")
+    common.add_argument("--seed", type=int, help="RNG seed")
+    common.add_argument("--out", help="output path")
     parser = argparse.ArgumentParser(
         prog="rwrc",
         description="Walks among heavy-tailed random conductances on finite domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--eta", type=float, help="tail exponent")
-        sp.add_argument("--D", type=float, dest="dcoef", help="tail scale coefficient")
-        sp.add_argument("--domain", help="domain shorthand, e.g. box1d:2")
-        sp.add_argument("--times", help="comma-separated time grid")
-        sp.add_argument("--t", type=float, help="single time, overrides --times")
-        sp.add_argument("--trials", type=int, help="Monte Carlo trial count")
-        sp.add_argument("--seed", type=int, help="RNG seed")
-        sp.add_argument("--out", help="output path")
-        return sp
-
-    add_common(sub.add_parser("sample-field", help="draw one conductance field as JSON"))
-    add_common(sub.add_parser("simulate", help="simulate one path and dump it as CSV"))
-
-    sv = add_common(sub.add_parser("solve-variational", help="domain constant and minimizer"))
-    sv.add_argument("--brute-force", action="store_true", help="also run the grid oracle")
-
-    ne = add_common(sub.add_parser("nonexit", help="annealed non-exit estimates"))
-    ne.add_argument(
-        "--method", choices=("quadrature", "mc", "is"), default="quadrature"
-    )
-
-    et = add_common(sub.add_parser("eigen-tail", help="principal eigenvalue lower tail"))
-    et.add_argument("--eps", help="comma-separated eps grid", default="0.01")
-    et.add_argument("--method", choices=("quadrature", "mc"), default="quadrature")
-    et.add_argument("--fields", type=int, default=2000, help="MC field count")
-
-    tb = add_common(sub.add_parser("tauberian", help="Laplace-transform tail identity"))
-    tb.add_argument("--M", type=float, default=1.0, dest="m_const")
-
-    add_common(sub.add_parser("ldp-check", help="profile-tracking lower bound check"))
-
-    gt = add_common(sub.add_parser("girsanov-test", help="reweighting normalization check"))
-    gt.add_argument("--lo", type=float, default=0.5, help="lower edge of the target band")
-    gt.add_argument("--hi", type=float, default=2.0, help="upper edge of the target band")
+    for name, (text, _, extra) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text, parents=[common])
+        for flag, kwargs in extra:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -495,15 +596,16 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _estimate_rows(estimates: list[AnnealedEstimate]) -> list[list]:
-    return [
-        [e.t, e.estimate, e.se, e.log_estimate, e.rescaled, e.method]
-        for e in estimates
-    ]
-
-
 def run_cli(argv) -> int:
-    """Entry point; returns 0 on success, 1 on invalid input, 2 on numerical failure."""
+    """Entry point; returns 0 on success, 1 on invalid input, 2 on numerical failure.
+
+    A dict body is written as JSON with the config, version and wall time
+    merged in.  A list body is written as CSV rows and a str body as is; both
+    get a ``<stem>.summary.json`` sidecar with that metadata and the runner's
+    extras.
+    """
+    from . import __version__
+
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -512,175 +614,32 @@ def run_cli(argv) -> int:
     started = _time.monotonic()
     try:
         config = _config_from_args(args)
-        out = _dispatch(args, config, started)
+        default, body, extras, status, code = COMMANDS[args.command][1](args, config, config.law())
+        out = config.out or default
+        meta = {
+            "config": config.to_dict(),
+            "version": __version__,
+            "wall_time_s": _time.monotonic() - started,
+        }
+        with open(out, "w", newline="") as fh:
+            if isinstance(body, dict):
+                json.dump({**body, **meta}, fh, indent=2)
+            elif isinstance(body, list):
+                csv.writer(fh).writerows(body)
+            else:
+                fh.write(body)
+        if not isinstance(body, dict):
+            stem = os.path.splitext(out)[0] if out.endswith((".csv", ".json")) else out
+            with open(stem + ".summary.json", "w") as fh:
+                json.dump({**meta, **extras}, fh, indent=2)
+        print(f"{status} -> {out}")
     except (NonConvergence, DegenerateWeights) as exc:
         print(f"rwrc: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (RwrcError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"rwrc: invalid input: {exc}", file=sys.stderr)
         return 1
-    return out
-
-
-def _dispatch(args, config: ExperimentConfig, started: float) -> int:
-    law = config.law()
-    wall = lambda: _time.monotonic() - started  # noqa: E731
-
-    if args.command == "sample-field":
-        dom = config.build_domain()
-        rng = _require_rng(config)
-        f = sample_field(law, dom, rng)
-        out = config.out or "field.json"
-        with open(out, "w") as fh:
-            fh.write(field_to_json(f))
-        _write_summary(out, config, {"n_edges": dom.n_edges}, wall())
-        print(f"sample-field: {dom.n_edges} weights -> {out}")
-        return 0
-
-    if args.command == "simulate":
-        dom = config.build_domain()
-        rng = _require_rng(config)
-        f = sample_field(law, dom, rng)
-        t = config.times[0]
-        p = simulate(f, dom, t, rng)
-        out = config.out or "path.csv"
-        header = ["step", "time"] + [f"x{i}" for i in range(dom.d)]
-        rows = [[0, 0.0, *dom.site_tuple(p.start)]]
-        for i in range(p.n_jumps):
-            rows.append([i + 1, p.jump_times[i], *dom.site_tuple(int(p.sites[i + 1]))])
-        if p.exited:
-            rows.append([p.n_jumps + 1, p.exit_time, *p.exit_point])
-        _write_csv(out, header, rows)
-        _write_summary(out, config, {"exited": p.exited, "jumps": p.n_jumps}, wall())
-        status = f"exited at {p.exit_time:.6g}" if p.exited else f"survived to {t:g}"
-        print(f"simulate: {p.n_jumps} jumps, {status} -> {out}")
-        return 0
-
-    if args.command == "solve-variational":
-        dom = config.build_domain()
-        res = solve_L(dom, law.eta)
-        doc = {
-            "L": res.value,
-            "minimizer": res.minimizer.values.tolist(),
-            "minimizers": [m.tolist() for m in res.minimizers],
-            "iterations": res.iterations,
-            "restarts": res.restarts,
-        }
-        if args.brute_force:
-            doc["brute_force_L"] = brute_force_L(dom, law.eta).value
-        out = config.out or "variational.json"
-        doc.update({"config": config.to_dict(), "version": _version(), "wall_time_s": wall()})
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-        print(f"solve-variational: L={res.value:.9g} -> {out}")
-        return 0
-
-    if args.command == "nonexit":
-        if args.method == "quadrature":
-            dom = config.build_domain()
-            if dom.n_sites != 1 or dom.d != 1:
-                raise UnsupportedDomain("quadrature non-exit requires the single-site domain in d=1")
-            estimates = [annealed_nonexit_quadrature(law, t) for t in config.times]
-        elif args.method == "mc":
-            estimates = annealed_nonexit_mc(config)
-        else:
-            estimates = annealed_nonexit_is(config)
-        out = config.out or "nonexit.csv"
-        _write_csv(out, ["t", "estimate", "se", "log_estimate", "rescaled", "method"], _estimate_rows(estimates))
-        _write_summary(out, config, {"rows": len(estimates)}, wall())
-        last = estimates[-1]
-        print(f"nonexit[{args.method}]: t={last.t:g} rescaled={last.rescaled:.6g} -> {out}")
-        return 0
-
-    if args.command == "eigen-tail":
-        dom = config.build_domain()
-        eps_list = [float(x) for x in args.eps.split(",") if x.strip()]
-        rng = _require_rng(config) if args.method == "mc" else None
-        points = eigen_tail(law, dom, eps_list, method=args.method, n_fields=args.fields, rng=rng)
-        out = config.out or "eigen_tail.csv"
-        _write_csv(
-            out,
-            ["eps", "prob", "log_prob", "eps_eta_log_prob"],
-            [[pt.eps, pt.prob, pt.log_prob, pt.scaled_log] for pt in points],
-        )
-        _write_summary(out, config, {"rows": len(points)}, wall())
-        print(f"eigen-tail[{args.method}]: eps={points[-1].eps:g} scaled={points[-1].scaled_log:.6g} -> {out}")
-        return 0
-
-    if args.command == "tauberian":
-        points = tauberian_check(law, args.m_const, config.times)
-        out = config.out or "tauberian.csv"
-        _write_csv(out, ["t", "value", "target"], [[p.t, p.value, p.target] for p in points])
-        _write_summary(out, config, {"rows": len(points)}, wall())
-        print(
-            f"tauberian: M={args.m_const:g} t={points[-1].t:g} value={points[-1].value:.6g} "
-            f"target={points[-1].target:.6g} -> {out}"
-        )
-        return 0
-
-    if args.command == "ldp-check":
-        dom = config.build_domain()
-        g = solve_L(dom, law.eta).minimizer
-        report = ldp_point_check(config, g)
-        out = config.out or "ldp_check.json"
-        report.update({"config": config.to_dict(), "version": _version(), "wall_time_s": wall()})
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        status = "ok" if report["lower_bound_ok"] else "violated"
-        print(f"ldp-check: rate={report['rate_value']:.6g} lower bound {status} -> {out}")
-        return 0 if report["lower_bound_ok"] else 2
-
-    if args.command == "girsanov-test":
-        report = _girsanov_report(config, args.lo, args.hi)
-        out = config.out or "girsanov_test.json"
-        report.update({"config": config.to_dict(), "version": _version(), "wall_time_s": wall()})
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(
-            f"girsanov-test: mean={report['mean']:.6f} z={report['z']:.3f} "
-            f"cocycle={report['cocycle_err']:.3g} -> {out}"
-        )
-        return 0 if report["ok"] else 2
-
-    raise ArgumentOutOfRange(f"unknown command {args.command!r}")
-
-
-def _girsanov_report(config: ExperimentConfig, lo: float, hi: float) -> dict:
-    if not (0 < lo <= hi):
-        raise ArgumentOutOfRange("the target band must satisfy 0 < lo <= hi")
-    dom = config.build_domain()
-    rng = _require_rng(config)
-    t = config.times[0]
-    psi = ConductanceField(dom, np.ones(dom.n_edges))
-    phi = ConductanceField(dom, lo + (hi - lo) * rng.random(dom.n_edges))
-    chi = ConductanceField(dom, lo + (hi - lo) * rng.random(dom.n_edges))
-    vals = np.empty(config.trials)
-    cocycle_err = 0.0
-    antisym_err = 0.0
-    check_paths = min(200, config.trials)
-    for i in range(config.trials):
-        p = simulate(psi, dom, t, rng)
-        lp = girsanov_log_density(p, phi, psi)
-        vals[i] = np.exp(lp)
-        if i < check_paths:
-            lq = girsanov_log_density(p, chi, phi)
-            lr = girsanov_log_density(p, chi, psi)
-            cocycle_err = max(cocycle_err, abs(lp + lq - lr))
-            antisym_err = max(antisym_err, abs(lp + girsanov_log_density(p, psi, phi)))
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(config.trials))
-    z = (mean - 1.0) / se if se > 0 else 0.0
-    ok = abs(z) <= 3.0 and cocycle_err <= 1e-12 and antisym_err <= 1e-12
-    return {
-        "t": float(t),
-        "trials": config.trials,
-        "mean": mean,
-        "se": se,
-        "z": float(z),
-        "cocycle_err": float(cocycle_err),
-        "antisym_err": float(antisym_err),
-        "ok": bool(ok),
-    }
+    return code
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conductance import ConductanceField, require_same_domain, site_totals
+from .conductance import ConductanceField, require_same_domain
 from .domain import Domain
 from .errors import (
     ArgumentOutOfRange,
@@ -23,8 +23,9 @@ from .errors import (
     NonPositiveArgument,
     UnsupportedSetShape,
 )
+from .profiles import edge_adjoint, edge_differences
 from .spectral import semigroup_nonexit
-from .walk import PathRecord, local_times, simulate
+from .walk import PathRecord, _walk_tables, local_times, simulate
 
 
 def girsanov_log_density(p: PathRecord, phi: ConductanceField, psi: ConductanceField) -> float:
@@ -33,7 +34,7 @@ def girsanov_log_density(p: PathRecord, phi: ConductanceField, psi: ConductanceF
     require_same_domain(psi, p.domain)
     log_ratio = np.log(phi.weights) - np.log(psi.weights)
     edges = np.append(p.jump_edges, p.exit_edge) if p.exited else p.jump_edges
-    rate_diff = site_totals(phi) - site_totals(psi)
+    rate_diff = _walk_tables(phi)[0] - _walk_tables(psi)[0]
     return float(np.sum(log_ratio[edges]) - local_times(p) @ rate_diff)
 
 
@@ -180,14 +181,8 @@ def feynman_kac_upper_bound(
         raise DomainMismatch("test function length does not match the domain")
     if not np.all(np.isfinite(f)) or np.any(f <= 0):
         raise NonPositiveArgument("test function must be strictly positive on the domain")
-    # generator applied to f extended by zero outside the domain
-    lf = np.zeros(dom.n_sites)
-    inside = dom.edge_b >= 0
-    fb = np.where(inside, f[np.where(inside, dom.edge_b, 0)], 0.0)
-    fa = f[dom.edge_a]
-    np.add.at(lf, dom.edge_a, phi.weights * (fb - fa))
-    np.add.at(lf, dom.edge_b[inside], phi.weights[inside] * (fa[inside] - fb[inside]))
-    coeff = lf / f
+    # (Lf/f) with the generator L = -D^T W D, f extended by zero outside the domain
+    coeff = -edge_adjoint(dom, phi.weights * edge_differences(dom, f)) / f
 
     if isinstance(target_set, PointSet):
         h = np.asarray(target_set.point, dtype=float)

@@ -63,9 +63,21 @@ def delta_profile(domain: Domain, site_index: int | None = None) -> ProbabilityP
     return ProbabilityProfile(domain, v)
 
 
+# edge_b == -1 marks an exterior endpoint, where every site function is zero; outside
+# the operator assembly in spectral, only these two maps read that convention.
+
+
 def edge_differences(domain: Domain, values) -> np.ndarray:
-    """g(a) - g(b) along every canonical edge, with g = 0 outside the domain."""
-    v = np.asarray(values, dtype=float).reshape(-1)
+    """g(a) - g(b) along every canonical edge, g = 0 outside; sites on the last axis."""
+    v = np.asarray(values, dtype=float).T  # sites first: plain indexing is cheaper than v[..., i]
     inside = domain.edge_b >= 0
-    vb = np.where(inside, v[np.where(inside, domain.edge_b, 0)], 0.0)
-    return v[domain.edge_a] - vb
+    vb = np.where(inside, v[np.where(inside, domain.edge_b, 0)].T, 0.0)
+    return v[domain.edge_a].T - vb
+
+
+def edge_adjoint(domain: Domain, s) -> np.ndarray:
+    """Transpose of edge_differences: s(e) added at a and subtracted at b."""
+    out = np.zeros(domain.n_sites + 1)  # the last slot absorbs exterior endpoints b = -1
+    np.add.at(out, domain.edge_a, s)
+    np.subtract.at(out, domain.edge_b, s)
+    return out[:-1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .domain import Domain
 from .errors import ArgumentOutOfRange, DomainTooLarge, NonConvergence, NonPositiveArgument
-from .profiles import ProbabilityProfile, edge_differences, uniform_profile
+from .profiles import ProbabilityProfile, edge_adjoint, edge_differences, uniform_profile
 
 
 @dataclass(eq=False)
@@ -50,10 +50,7 @@ def objective(g: ProbabilityProfile, eta: float) -> float:
 
 
 def _objective_rows(dom: Domain, gmat: np.ndarray, p: float) -> np.ndarray:
-    inside = dom.edge_b >= 0
-    idx_b = np.where(inside, dom.edge_b, 0)
-    diffs = gmat[:, dom.edge_a] - np.where(inside, gmat[:, idx_b], 0.0)
-    return np.sum(np.abs(diffs) ** p, axis=1)
+    return np.sum(np.abs(edge_differences(dom, gmat)) ** p, axis=1)
 
 
 def _angles_to_profiles(theta: np.ndarray) -> np.ndarray:
@@ -135,20 +132,13 @@ def _project(v: np.ndarray) -> np.ndarray:
 
 
 def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float, opts: SolverOptions):
-    inside = dom.edge_b >= 0
-    idx_b = np.where(inside, dom.edge_b, 0)
-
     def fval(x: np.ndarray) -> float:
         u = edge_differences(dom, x)
         return float(np.sum((u * u + kappa * kappa) ** (p / 2.0)))
 
     def grad(x: np.ndarray) -> np.ndarray:
         u = edge_differences(dom, x)
-        s = p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0)
-        gr = np.zeros_like(x)
-        np.add.at(gr, dom.edge_a, s)
-        np.subtract.at(gr, idx_b[inside], s[inside])
-        return gr
+        return edge_adjoint(dom, p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0))
 
     step = opts.step_init
     f = fval(g)

@@ -115,10 +115,11 @@ def test_field_validation():
     dom = box_domain(1, 0)
     with pytest.raises(FieldMismatch):
         ConductanceField(dom, np.array([1.0]))
-    with pytest.raises(NonPositiveWeight):
-        ConductanceField(dom, np.array([1.0, 0.0]))
-    with pytest.raises(NonPositiveWeight):
-        ConductanceField(dom, np.array([1.0, np.inf]))
+    for bad in (0.0, np.inf, np.nan, -1.0, -np.inf):
+        with pytest.raises(NonPositiveWeight):
+            ConductanceField(dom, np.array([1.0, bad]))
+        with pytest.raises(NonPositiveWeight):
+            ConductanceField(dom, np.array([bad, 1.0]))
 
 
 def test_field_json_round_trip():

@@ -453,3 +453,35 @@ def test_cli_reproducible(tmp_path):
             ["nonexit", "--method", "mc", "--t", 20.0, "--trials", 200, "--seed", 9, "--out", out]
         ) == 0
     assert a.read_text() == b.read_text()
+
+
+# (subcommand, label, default output, arguments): each runs without --out
+OUTPUT_CONTRACT = [
+    ("sample-field", "sample-field", "field.json", ["--domain", "box1d:1", "--seed", 5]),
+    ("simulate", "simulate", "path.csv", ["--domain", "box1d:1", "--t", 1.0, "--seed", 2]),
+    ("solve-variational", "solve-variational", "variational.json", ["--domain", "box1d:0"]),
+    ("nonexit", "nonexit[quadrature]", "nonexit.csv", ["--t", 10.0]),
+    ("eigen-tail", "eigen-tail[quadrature]", "eigen_tail.csv", ["--eps", 0.1]),
+    ("tauberian", "tauberian", "tauberian.csv", ["--times", 100]),
+    ("ldp-check", "ldp-check", "ldp_check.json", ["--t", 4.0, "--trials", 200, "--seed", 3]),
+    (
+        "girsanov-test", "girsanov-test", "girsanov_test.json",
+        ["--domain", "box1d:1", "--t", 1.0, "--trials", 200, "--seed", 11],
+    ),
+]
+
+
+@pytest.mark.parametrize("command,label,default,args", OUTPUT_CONTRACT, ids=[c[0] for c in OUTPUT_CONTRACT])
+def test_cli_output_contract(tmp_path, monkeypatch, capsys, command, label, default, args):
+    monkeypatch.chdir(tmp_path)
+    assert run([command] + args) == 0
+    stem, ext = default.rsplit(".", 1)
+    inline = ext == "json" and command != "sample-field"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [default] + ([] if inline else [stem + ".summary.json"])
+    )
+    meta = json.loads((tmp_path / (default if inline else stem + ".summary.json")).read_text())
+    assert meta["config"]["out"] is None and meta["wall_time_s"] >= 0.0 and "version" in meta
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(label + ": ") and lines[0].endswith(" -> " + default)

@@ -5,7 +5,13 @@ import pytest
 
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import InvalidProfile
-from rwrc.profiles import ProbabilityProfile, delta_profile, edge_differences, uniform_profile
+from rwrc.profiles import (
+    ProbabilityProfile,
+    delta_profile,
+    edge_adjoint,
+    edge_differences,
+    uniform_profile,
+)
 
 
 def test_valid_profile():
@@ -53,3 +59,29 @@ def test_edge_differences_zero_outside():
     # boundary neighbours carry g = 0, so single-site diffs equal the value
     d0 = box_domain(1, 0)
     assert np.allclose(edge_differences(d0, np.array([1.0])), [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "dom", [box_domain(1, 0), build_domain([[0], [1]], 1), box_domain(1, 2), box_domain(2, 1)]
+)
+def test_edge_adjoint_is_transpose(dom):
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        g = rng.normal(size=dom.n_sites)
+        s = rng.normal(size=dom.n_edges)
+        lhs = s @ edge_differences(dom, g)
+        assert lhs == pytest.approx(edge_adjoint(dom, s) @ g, abs=1e-12 * (1.0 + abs(lhs)))
+    # the matrix of edge_differences has +1 at a and -1 at an interior b
+    mat = np.stack([edge_differences(dom, e) for e in np.eye(dom.n_sites)], axis=1)
+    assert set(np.unique(mat)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.stack([edge_adjoint(dom, e) for e in np.eye(dom.n_edges)], axis=1), mat.T)
+
+
+def test_edge_differences_stacked_rows():
+    dom = box_domain(2, 1)
+    stack = np.random.default_rng(5).random((3, 4, dom.n_sites))
+    rows = edge_differences(dom, stack)
+    assert rows.shape == (3, 4, dom.n_edges)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(rows[i, j], edge_differences(dom, stack[i, j]))
