@@ -60,11 +60,5 @@ from .spectral import (
 )
 from .tail_law import TailLaw, cdf, log_cdf, log_density, quantile, sample
 from .transforms import log_laplace_transform, log_pair_sum_tail
-from .variational import (
-    SolverOptions,
-    VariationalResult,
-    brute_force_L,
-    objective,
-    solve_L,
-)
+from .variational import VariationalResult, brute_force_L, objective, solve_L
 from .walk import PathRecord, local_times, nonexit_mc, occupation_mc, simulate

@@ -50,12 +50,6 @@ from .walk import _simulate_batch, simulate
 
 
 @dataclass
-class ImportanceSettings:
-    cap_m: float | None = None    # None: cap chosen so zero-increment edges stay untilted
-    r: float = 0.5                # tilt exponent, default 1/(1+eta)
-
-
-@dataclass
 class ExperimentConfig:
     domain: dict
     eta: float
@@ -63,7 +57,6 @@ class ExperimentConfig:
     times: list
     trials: int
     inner_trials: int
-    importance: ImportanceSettings
     deltas: list
     seed: int | None
     out: str | None
@@ -75,12 +68,9 @@ class ExperimentConfig:
         dcoef = float(law.get("D", 1.0))
         if eta <= 0 or dcoef <= 0:
             raise NonPositiveArgument("law parameters eta and D must be positive")
-        isdoc = doc.get("is", {})
-        r = isdoc.get("r")
-        r = 1.0 / (1.0 + eta) if r is None else float(r)
-        cap = isdoc.get("cap_M")
-        cap = None if cap is None else float(cap)
         times = [float(t) for t in doc.get("times", [1.0])]
+        if not times:
+            raise ArgumentOutOfRange("the time grid is empty")
         deltas = sorted((float(x) for x in doc.get("deltas", [0.4, 0.2])), reverse=True)
         seed = doc.get("seed")
         return cls(
@@ -90,7 +80,6 @@ class ExperimentConfig:
             times=times,
             trials=int(doc.get("trials", 10000)),
             inner_trials=int(doc.get("inner_trials", 200)),
-            importance=ImportanceSettings(cap_m=cap, r=r),
             deltas=deltas,
             seed=None if seed is None else int(seed),
             out=doc.get("out"),
@@ -103,7 +92,6 @@ class ExperimentConfig:
             "times": list(self.times),
             "trials": self.trials,
             "inner_trials": self.inner_trials,
-            "is": {"cap_M": self.importance.cap_m, "r": self.importance.r},
             "deltas": list(self.deltas),
             "seed": self.seed,
             "out": self.out,
@@ -201,21 +189,14 @@ def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     return out
 
 
-def _tilt_scales(
-    dom: Domain,
-    g: ProbabilityProfile,
-    law: TailLaw,
-    t: float,
-    cap_m: float | None,
-    r: float,
-) -> np.ndarray:
+def _tilt_scales(g: ProbabilityProfile, law: TailLaw, t: float) -> np.ndarray:
     """Per-edge proposal scales: the proposal median tracks t**-r times the
-    optimal environment shape, and edges with no profile increment default to
-    the untilted prior."""
+    optimal environment shape, r = 1/(1+eta), and edges with no profile
+    increment are capped at t**r times the median, so they stay untilted."""
+    r = 1.0 / (1.0 + law.eta)
     med = float(quantile(law, 0.5))
-    if cap_m is None:
-        cap_m = float(t**r) * med
-    target = float(t) ** (-r) * optimal_profile(g, law, cap=cap_m).weights
+    cap = float(t**r) * med
+    target = float(t) ** (-r) * optimal_profile(g, law, cap=cap).weights
     return target / med
 
 
@@ -261,7 +242,7 @@ def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
         if t == 0.0:
             out.append(AnnealedEstimate(0.0, 1.0, 0.0, 0.0, 0.0, "is", 0.0, float(config.trials)))
             continue
-        scales = _tilt_scales(dom, g_star, law, t, config.importance.cap_m, config.importance.r)
+        scales = _tilt_scales(g_star, law, t)
         x, logw = _sample_tilted(law, scales, config.trials, rng)
         ess = _ess(logw)
         if ess < 10.0:
@@ -338,7 +319,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     by_time = []
     ok_all = True
     for t in config.times:
-        scales = _tilt_scales(dom, g, law, t, config.importance.cap_m, config.importance.r)
+        scales = _tilt_scales(g, law, t)
         x, logw = _sample_tilted(law, scales, config.trials, rng)
         ess = _ess(logw)
         fracs = np.zeros((len(deltas), config.trials))

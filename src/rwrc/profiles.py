@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain
-from .errors import InvalidProfile
+from .errors import DomainMismatch, InvalidProfile
 
 NORM_TOL = 1e-12
 
@@ -69,10 +69,13 @@ def delta_profile(domain: Domain, site_index: int | None = None) -> ProbabilityP
 
 def edge_differences(domain: Domain, values) -> np.ndarray:
     """g(a) - g(b) along every canonical edge, g = 0 outside; sites on the last axis."""
-    v = np.asarray(values, dtype=float).T  # sites first: plain indexing is cheaper than v[..., i]
-    inside = domain.edge_b >= 0
-    vb = np.where(inside, v[np.where(inside, domain.edge_b, 0)].T, 0.0)
-    return v[domain.edge_a].T - vb
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1] != domain.n_sites:
+        raise DomainMismatch(f"{v.shape[-1]} site values for a domain of {domain.n_sites} sites")
+    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))  # the last slot is read by b = -1
+    padded[..., :-1] = v
+    padded = padded.T  # sites first: plain indexing is cheaper than v[..., i]
+    return (padded[domain.edge_a] - padded[domain.edge_b]).T
 
 
 def edge_adjoint(domain: Domain, s) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 from .conductance import DEFAULT_CAP, ConductanceField, optimal_profile, require_same_domain
 from .profiles import ProbabilityProfile, edge_differences
 from .tail_law import TailLaw
+from .variational import exponent, objective
 
 
 def dv_rate_I(phi: ConductanceField, g: ProbabilityProfile) -> float:
@@ -34,10 +35,8 @@ def k_const(law: TailLaw) -> float:
 
 
 def joint_rate_J(g: ProbabilityProfile, law: TailLaw) -> float:
-    """Joint rate after optimizing the environment edge by edge."""
-    diffs = np.abs(edge_differences(g.domain, g.values))
-    p = 2.0 * law.eta / (law.eta + 1.0)
-    return float(k_const(law) * np.sum(diffs**p))
+    """Joint rate after optimizing the environment edge by edge: K times the objective."""
+    return k_const(law) * objective(g, law.eta)
 
 
 def check_infimum_identity(
@@ -63,9 +62,7 @@ def check_infimum_identity(
     phi_star = optimal_profile(g, law, cap=cap)
     diffs = np.abs(edge_differences(g.domain, g.values))
     active = diffs > 0.0
-    kk = k_const(law)
-    p = 2.0 * law.eta / (law.eta + 1.0)
-    lhs = kk * diffs[active] ** p
+    lhs = k_const(law) * diffs[active] ** exponent(law.eta)
     w = phi_star.weights[active]
     rhs = w * diffs[active] ** 2 + law.dcoef * w ** (-law.eta)
     equality_gap = float(np.max(np.abs(lhs - rhs))) if active.any() else 0.0

@@ -14,8 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain
-from .errors import ArgumentOutOfRange, DomainTooLarge, NonConvergence, NonPositiveArgument
+from .errors import DomainTooLarge, NonConvergence, NonPositiveArgument
 from .profiles import ProbabilityProfile, edge_adjoint, edge_differences, uniform_profile
+
+RESTARTS = 32          # the uniform profile, one delta per site, then seeded random starts
+SEED = 7
+MAX_ITER = 400         # gradient steps per smoothing level
+STEP_INIT = 1.0
+TOL = 1e-11            # relative step length that counts as stationary
+# smoothing levels 0.1, 0.1*0.1, ... down to 1e-6, as repeated products: decimal
+# literals such as 0.01 would be different floats
+KAPPAS = (0.1, 0.010000000000000002, 0.0010000000000000002, 0.00010000000000000003,
+          1.0000000000000004e-05, 1.0000000000000004e-06)
+GRID_POINTS = 120      # oracle grid points per angle
 
 
 @dataclass(eq=False)
@@ -25,28 +36,19 @@ class VariationalResult:
     iterations: int
     restarts: int
     converged_restarts: int
-    smoothing_final: float
     minimizers: list = field(default_factory=list)
 
 
-@dataclass
-class SolverOptions:
-    restarts: int = 32
-    max_iter: int = 400
-    kappa_init: float = 0.1
-    kappa_min: float = 1e-6
-    kappa_factor: float = 0.1
-    step_init: float = 1.0
-    tol: float = 1e-11
-    seed: int = 7
+def exponent(eta: float) -> float:
+    """The edge exponent p = 2*eta/(eta+1) of the domain constant."""
+    if not (np.isfinite(eta) and eta > 0):
+        raise NonPositiveArgument(f"eta must be positive, got {eta!r}")
+    return 2.0 * eta / (eta + 1.0)
 
 
 def objective(g: ProbabilityProfile, eta: float) -> float:
-    """Sum over edges of |g(a) - g(b)|**(2*eta/(eta+1))."""
-    if not (np.isfinite(eta) and eta > 0):
-        raise NonPositiveArgument(f"eta must be positive, got {eta!r}")
-    p = 2.0 * eta / (eta + 1.0)
-    return float(np.sum(np.abs(edge_differences(g.domain, g.values)) ** p))
+    """Sum over edges of |g(a) - g(b)|**p, p = exponent(eta)."""
+    return float(np.sum(np.abs(edge_differences(g.domain, g.values)) ** exponent(eta)))
 
 
 def _objective_rows(dom: Domain, gmat: np.ndarray, p: float) -> np.ndarray:
@@ -65,21 +67,17 @@ def _angles_to_profiles(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def brute_force_L(dom: Domain, eta: float, grid_points_per_axis: int = 120) -> VariationalResult:
+def brute_force_L(dom: Domain, eta: float) -> VariationalResult:
     """Certified grid search over the angular parameterization, |B| <= 4."""
-    if not (np.isfinite(eta) and eta > 0):
-        raise NonPositiveArgument(f"eta must be positive, got {eta!r}")
+    p = exponent(eta)
     n = dom.n_sites
     if n > 4:
         raise DomainTooLarge(f"brute force supports at most 4 sites, domain has {n}")
-    if grid_points_per_axis < 100:
-        raise ArgumentOutOfRange("grid must have at least 100 points per angle")
-    p = 2.0 * eta / (eta + 1.0)
     if n == 1:
         g = ProbabilityProfile(dom, np.ones(1))
-        return VariationalResult(g, objective(g, eta), 1, 1, 1, 0.0, [g.values.copy()])
+        return VariationalResult(g, objective(g, eta), 1, 1, 1, [g.values.copy()])
 
-    grids = [np.linspace(0.0, np.pi / 2.0, grid_points_per_axis)] * (n - 1)
+    grids = [np.linspace(0.0, np.pi / 2.0, GRID_POINTS)] * (n - 1)
     mesh = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=1)
     best_val = np.inf
     best_theta = None
@@ -94,12 +92,14 @@ def brute_force_L(dom: Domain, eta: float, grid_points_per_axis: int = 120) -> V
             best_val = float(vals[i])
             best_theta = block[i].copy()
 
-    # Local refinement: pattern search over the full stencil of angle offsets,
-    # bisecting the step each time no neighbor improves.  Axis-only moves stall
-    # on the kinks where increments change sign, so diagonals are included.
+    # Local refinement: compass search over the full stencil of angle offsets,
+    # doubling the step after each improving move and halving it after a round
+    # with none, so a curved valley is not followed at a fixed small step.
+    # Axis-only moves stall on the kinks where increments change sign, so
+    # diagonals are included.
     theta = best_theta
     k = theta.shape[0]
-    spacing = np.pi / 2.0 / (grid_points_per_axis - 1)
+    spacing = np.pi / 2.0 / (GRID_POINTS - 1)
     offsets = np.stack(
         [m.ravel() for m in np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * k), indexing="ij")],
         axis=1,
@@ -114,12 +114,13 @@ def brute_force_L(dom: Domain, eta: float, grid_points_per_axis: int = 120) -> V
         if vals[i] < best_val - 1e-15:
             best_val = float(vals[i])
             theta = cand[i]
+            step *= 2.0
         else:
             step *= 0.5
 
     g = ProbabilityProfile.normalized(dom, _angles_to_profiles(theta[None, :])[0])
     value = objective(g, eta)
-    return VariationalResult(g, value, evals, 1, 1, 0.0, [g.values.copy()])
+    return VariationalResult(g, value, evals, 1, 1, [g.values.copy()])
 
 
 def _project(v: np.ndarray) -> np.ndarray:
@@ -131,7 +132,7 @@ def _project(v: np.ndarray) -> np.ndarray:
     return w / nrm
 
 
-def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float, opts: SolverOptions):
+def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float):
     def fval(x: np.ndarray) -> float:
         u = edge_differences(dom, x)
         return float(np.sum((u * u + kappa * kappa) ** (p / 2.0)))
@@ -140,9 +141,9 @@ def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float, opts: SolverOptions
         u = edge_differences(dom, x)
         return edge_adjoint(dom, p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0))
 
-    step = opts.step_init
+    step = STEP_INIT
     f = fval(g)
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         gr = grad(g)
         cand, fc = None, None
         while step > 1e-16:
@@ -154,14 +155,14 @@ def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float, opts: SolverOptions
             step *= 0.5
         if cand is None:
             return g, it + 1, True
-        if np.linalg.norm(cand - g) <= opts.tol * (1.0 + np.linalg.norm(g)):
+        if np.linalg.norm(cand - g) <= TOL * (1.0 + np.linalg.norm(g)):
             return cand, it + 1, True
         g, f = cand, fc
         step = min(step * 1.5, 1e3)
-    return g, opts.max_iter, False
+    return g, MAX_ITER, False
 
 
-def solve_L(dom: Domain, eta: float, opts: SolverOptions | None = None) -> VariationalResult:
+def solve_L(dom: Domain, eta: float) -> VariationalResult:
     """Multi-start projected gradient descent with smoothing continuation.
 
     The nonsmooth |u|**p terms are replaced by (u**2 + kappa**2)**(p/2) and
@@ -169,35 +170,26 @@ def solve_L(dom: Domain, eta: float, opts: SolverOptions | None = None) -> Varia
     the nonnegative part of the unit sphere.  Ties between restarts are
     broken toward the lexicographically largest profile.
     """
-    if not (np.isfinite(eta) and eta > 0):
-        raise NonPositiveArgument(f"eta must be positive, got {eta!r}")
-    opts = opts or SolverOptions()
+    p = exponent(eta)
     n = dom.n_sites
-    p = 2.0 * eta / (eta + 1.0)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(SEED)
 
     starts = [uniform_profile(dom).values]
-    for i in range(min(n, max(opts.restarts - 1, 0))):
+    for i in range(min(n, RESTARTS - 1)):
         e = np.zeros(n)
         e[i] = 1.0
         starts.append(e)
-    while len(starts) < opts.restarts:
+    while len(starts) < RESTARTS:
         starts.append(_project(rng.random(n)))
-    starts = starts[: max(opts.restarts, 1)]
 
     total_iter = 0
     converged = 0
     finals: list[tuple[float, np.ndarray, bool]] = []
-    kappas = []
-    kappa = opts.kappa_init
-    while kappa >= opts.kappa_min * (1.0 - 1e-12):
-        kappas.append(kappa)
-        kappa *= opts.kappa_factor
     for g0 in starts:
         g = g0.copy()
         ok = True
-        for kap in kappas:
-            g, iters, conv = _pgd(dom, g, p, kap, opts)
+        for kap in KAPPAS:
+            g, iters, conv = _pgd(dom, g, p, kap)
             total_iter += iters
             ok = ok and conv
         gp = ProbabilityProfile.normalized(dom, g)
@@ -224,6 +216,5 @@ def solve_L(dom: Domain, eta: float, opts: SolverOptions | None = None) -> Varia
         iterations=total_iter,
         restarts=len(starts),
         converged_restarts=converged,
-        smoothing_final=kappas[-1] if kappas else 0.0,
         minimizers=distinct,
     )

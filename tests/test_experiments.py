@@ -50,7 +50,6 @@ def test_config_round_trip():
         "times": [1.0, 10.0],
         "trials": 123,
         "inner_trials": 45,
-        "is": {"cap_M": 9.0, "r": 0.25},
         "deltas": [0.1, 0.5],
         "seed": 11,
         "out": "x.csv",
@@ -59,14 +58,8 @@ def test_config_round_trip():
     c2 = ExperimentConfig.from_dict(c1.to_dict())
     assert c1 == c2
     assert c1.deltas == [0.5, 0.1]  # sorted largest first
-    assert c1.importance.cap_m == 9.0 and c1.importance.r == 0.25
-
-
-def test_config_default_tilt_exponent():
-    c = ExperimentConfig.from_dict({"law": {"eta": 2.0}})
-    assert c.importance.r == pytest.approx(1.0 / 3.0, rel=1e-15)
-    c = ExperimentConfig.from_dict({"law": {"eta": 1.0}})
-    assert c.importance.r == 0.5
+    # unknown keys, such as an old tilt block, are ignored
+    assert ExperimentConfig.from_dict(dict(doc, **{"is": {"cap_M": 9.0, "r": 0.25}})) == c1
 
 
 def test_domain_from_spec():
@@ -415,6 +408,32 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2
     # --help exits cleanly
     assert run(["--help"]) == 0
+
+
+# every command that reads a grid, given an empty one (flags, config): invalid input, no output
+EMPTY_GRIDS = [
+    (["nonexit", "--times", ","], None),
+    (["nonexit", "--method", "mc", "--times", ",", "--seed", 1], None),
+    (["tauberian", "--times", ","], None),
+    (["simulate", "--times", ",", "--seed", 1], None),
+    (["girsanov-test", "--times", ",", "--seed", 1], None),
+    (["eigen-tail", "--eps", ","], None),
+    (["nonexit"], {"times": [], "seed": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    EMPTY_GRIDS,
+    ids=[" ".join(map(str, a)) + (" config" if c else "") for a, c in EMPTY_GRIDS],
+)
+def test_cli_empty_grid_exits_1(tmp_path, capsys, args, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = args + ["--config", tmp_path / "cfg.json"]
+    assert run(args + ["--out", tmp_path / "out.csv"]) == 1
+    assert "rwrc: invalid input" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
 
 
 MC_BOX2D_ARGS = [

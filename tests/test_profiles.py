@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwrc.domain import box_domain, build_domain
-from rwrc.errors import InvalidProfile
+from rwrc.errors import DomainMismatch, InvalidProfile
 from rwrc.profiles import (
     ProbabilityProfile,
     delta_profile,
@@ -59,6 +59,15 @@ def test_edge_differences_zero_outside():
     # boundary neighbours carry g = 0, so single-site diffs equal the value
     d0 = box_domain(1, 0)
     assert np.allclose(edge_differences(d0, np.array([1.0])), [1.0, 1.0])
+
+
+def test_edge_differences_rejects_wrong_length():
+    dom = box_domain(1, 1)
+    for n in (2, 5):
+        with pytest.raises(DomainMismatch):
+            edge_differences(dom, np.ones(n))
+        with pytest.raises(DomainMismatch):
+            edge_differences(dom, np.ones((4, n)))
 
 
 @pytest.mark.parametrize(

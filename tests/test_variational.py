@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from rwrc.domain import box_domain, build_domain
-from rwrc.errors import ArgumentOutOfRange, DomainTooLarge, NonPositiveArgument
+from rwrc.errors import DomainTooLarge, NonPositiveArgument
 from rwrc.profiles import ProbabilityProfile, edge_differences, uniform_profile
 from rwrc.rates import joint_rate_J, k_const
 from rwrc.tail_law import TailLaw
-from rwrc.variational import SolverOptions, brute_force_L, objective, solve_L
+from rwrc.variational import brute_force_L, objective, solve_L
 
 
 def chain(n):
@@ -28,27 +28,25 @@ def test_objective_values():
 
 
 def test_brute_force_known_values():
-    assert brute_force_L(box_domain(1, 0), 1.0, 120).value == pytest.approx(2.0, rel=1e-12)
-    assert brute_force_L(box_domain(2, 0), 1.0, 120).value == pytest.approx(4.0, rel=1e-12)
-    res = brute_force_L(chain(2), 1.0, 120)
+    assert brute_force_L(box_domain(1, 0), 1.0).value == pytest.approx(2.0, rel=1e-12)
+    assert brute_force_L(box_domain(2, 0), 1.0).value == pytest.approx(4.0, rel=1e-12)
+    res = brute_force_L(chain(2), 1.0)
     assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-3)
     assert np.allclose(res.minimizer.values, [1 / math.sqrt(2)] * 2, atol=1e-3)
 
 
 def test_brute_force_three_site_derived_value():
     # minimizer is the uniform profile, value 2/sqrt(3)
-    res = brute_force_L(chain(3), 1.0, 120)
+    res = brute_force_L(chain(3), 1.0)
     assert res.value == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-6)
     assert np.allclose(res.minimizer.values, [1 / math.sqrt(3)] * 3, atol=1e-4)
 
 
 def test_brute_force_guards():
     with pytest.raises(DomainTooLarge):
-        brute_force_L(box_domain(1, 2), 1.0, 120)
-    with pytest.raises(ArgumentOutOfRange):
-        brute_force_L(chain(2), 1.0, 50)
+        brute_force_L(box_domain(1, 2), 1.0)
     with pytest.raises(NonPositiveArgument):
-        brute_force_L(chain(2), 0.0, 120)
+        brute_force_L(chain(2), 0.0)
 
 
 def test_solver_known_values():
@@ -63,8 +61,45 @@ def test_solver_matches_oracle_all_small_domains():
     for eta in (0.5, 1.0, 2.0):
         for dom in domains:
             sv = solve_L(dom, eta)
-            bf = brute_force_L(dom, eta, 120)
+            bf = brute_force_L(dom, eta)
             assert abs(sv.value - bf.value) <= 1e-3, (eta, dom.n_sites)
+
+
+def boundary_ratio_min(dom):
+    """min over nonempty A of |dA| / sqrt(|A|), exterior edges included."""
+    best = math.inf
+    for mask in range(1, 2**dom.n_sites):
+        inside = np.array([(mask >> i) & 1 for i in range(dom.n_sites)], dtype=bool)
+        cut = sum(
+            1
+            for a, b in zip(dom.edge_a, dom.edge_b)
+            if inside[a] != (b >= 0 and inside[b])
+        )
+        best = min(best, cut / math.sqrt(inside.sum()))
+    return best
+
+
+SMALL_DOMAINS = {
+    "box1d:0": box_domain(1, 0),
+    "chain2": chain(2),
+    "chain3": chain(3),
+    "chain4": chain(4),
+    "box2d:0": box_domain(2, 0),
+    "square": build_domain([[0, 0], [0, 1], [1, 0], [1, 1]], 2),
+    "L-tromino": build_domain([[0, 0], [1, 0], [0, 1]], 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_DOMAINS))
+def test_oracle_matches_indicator_closed_form_at_eta_one(name):
+    # at eta = 1 (p = 1) the coarea formula makes normalized indicators optimal
+    dom = SMALL_DOMAINS[name]
+    assert brute_force_L(dom, 1.0).value == pytest.approx(boundary_ratio_min(dom), abs=1e-9)
+
+
+def test_solver_box2d_at_eta_one():
+    # every planar domain has L = 4 at eta = 1 (edge-isoperimetric inequality)
+    assert solve_L(box_domain(2, 1), 1.0).value == pytest.approx(4.0, abs=1e-5)
 
 
 def test_solver_deterministic():
@@ -75,9 +110,8 @@ def test_solver_deterministic():
 
 
 def test_solver_result_structure():
-    opts = SolverOptions(restarts=8, seed=3)
-    res = solve_L(chain(2), 1.0, opts)
-    assert res.restarts == 8
+    res = solve_L(chain(2), 1.0)
+    assert res.restarts == 32
     assert res.converged_restarts >= 1
     assert len(res.minimizers) >= 1
     for v in res.minimizers:
@@ -102,7 +136,7 @@ def test_trivial_upper_bound():
     for dom in (chain(2), chain(3), box_domain(2, 0)):
         for eta in (0.5, 1.0, 2.0):
             upper = objective(uniform_profile(dom), eta)
-            assert 0.0 < brute_force_L(dom, eta, 120).value <= upper + 1e-9
+            assert 0.0 < brute_force_L(dom, eta).value <= upper + 1e-9
             # the solver carries its own certified slack
             assert 0.0 < solve_L(dom, eta).value <= upper + 1e-3
 
