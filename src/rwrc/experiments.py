@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import numbers
 import os
 import re
 import sys
@@ -68,10 +69,10 @@ class ExperimentConfig:
         dcoef = float(law.get("D", 1.0))
         if eta <= 0 or dcoef <= 0:
             raise NonPositiveArgument("law parameters eta and D must be positive")
-        times = [float(t) for t in doc.get("times", [1.0])]
+        times = _number_list(doc.get("times", [1.0]), "times")
         if not times:
             raise ArgumentOutOfRange("the time grid is empty")
-        deltas = sorted((float(x) for x in doc.get("deltas", [0.4, 0.2])), reverse=True)
+        deltas = sorted(_number_list(doc.get("deltas", [0.4, 0.2]), "deltas"), reverse=True)
         seed = doc.get("seed")
         return cls(
             domain=dict(doc.get("domain", {"type": "box", "d": 1, "half_width": 0})),
@@ -102,6 +103,23 @@ class ExperimentConfig:
 
     def build_domain(self) -> Domain:
         return domain_from_spec(self.domain)
+
+
+def _number_list(value, key: str) -> list:
+    """A grid read from a config: a list of real numbers, returned as floats."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value
+    ):
+        raise ArgumentOutOfRange(f"{key} must be a list of numbers, got {value!r}")
+    return [float(x) for x in value]
+
+
+def _parse_grid(text: str, flag: str) -> list:
+    """A comma-separated grid from the command line; empty items are skipped."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ArgumentOutOfRange(f"cannot parse {flag} {text!r} as numbers") from None
 
 
 def domain_from_spec(spec: dict) -> Domain:
@@ -432,7 +450,7 @@ def _run_nonexit(args, config: ExperimentConfig, law: TailLaw):
 
 def _run_eigen_tail(args, config: ExperimentConfig, law: TailLaw):
     dom = config.build_domain()
-    eps_list = [float(x) for x in args.eps.split(",") if x.strip()]
+    eps_list = _parse_grid(args.eps, "--eps")
     rng = _require_rng(config) if args.method == "mc" else None
     points = eigen_tail(law, dom, eps_list, method=args.method, n_fields=args.fields, rng=rng)
     rows = [["eps", "prob", "log_prob", "eps_eta_log_prob"]]
@@ -567,7 +585,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.t is not None:
         doc["times"] = [args.t]
     elif args.times is not None:
-        doc["times"] = [float(x) for x in args.times.split(",") if x.strip()]
+        doc["times"] = _parse_grid(args.times, "--times")
     if args.trials is not None:
         doc["trials"] = args.trials
     if args.seed is not None:

@@ -79,8 +79,8 @@ def edge_differences(domain: Domain, values) -> np.ndarray:
 
 
 def edge_adjoint(domain: Domain, s) -> np.ndarray:
-    """Transpose of edge_differences: s(e) added at a and subtracted at b."""
-    out = np.zeros(domain.n_sites + 1)  # the last slot absorbs exterior endpoints b = -1
-    np.add.at(out, domain.edge_a, s)
-    np.subtract.at(out, domain.edge_b, s)
-    return out[:-1]
+    """Transpose of edge_differences: s(e) added at a and subtracted at b; edges on the last axis."""
+    out = np.zeros(np.shape(s)[:-1] + (domain.n_sites + 1,))  # the last slot absorbs b = -1
+    np.add.at(out, (..., domain.edge_a), s)
+    np.subtract.at(out, (..., domain.edge_b), s)
+    return out[..., :-1]

@@ -123,43 +123,78 @@ def brute_force_L(dom: Domain, eta: float) -> VariationalResult:
     return VariationalResult(g, value, evals, 1, 1, [g.values.copy()])
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # one BLAS dot per row, the same bits as np.linalg.norm of that row
+    return np.sqrt(np.vecdot(x, x))
+
+
 def _project(v: np.ndarray) -> np.ndarray:
+    """Clip each row to the nonnegative orthant and scale it to unit norm.
+
+    A row that clips to zero becomes the uniform profile.
+    """
     w = np.clip(v, 0.0, None)
-    nrm = np.linalg.norm(w)
-    if nrm <= 0.0:
-        w = np.ones_like(v)
-        nrm = np.linalg.norm(w)
-    return w / nrm
+    dead = _row_norms(w) <= 0.0
+    w[dead] = 1.0
+    return w / _row_norms(w)[:, None]
 
 
 def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float):
-    def fval(x: np.ndarray) -> float:
+    """Projected gradient descent at one smoothing level, on all rows of g in lockstep.
+
+    Each row keeps its own step, objective value and iteration count, and
+    stops on its own: when the line search finds no descent, when a step
+    moves it by less than TOL relative to its norm (both count as
+    converged), or after MAX_ITER steps.  Returns the final rows, the number
+    of gradient steps each row took, and which rows converged.
+    """
+
+    def fval(x: np.ndarray) -> np.ndarray:
         u = edge_differences(dom, x)
-        return float(np.sum((u * u + kappa * kappa) ** (p / 2.0)))
+        # summed along contiguous rows, so each row adds up in the order a 1-D sum uses
+        return np.sum(np.ascontiguousarray((u * u + kappa * kappa) ** (p / 2.0)), axis=1)
 
     def grad(x: np.ndarray) -> np.ndarray:
         u = edge_differences(dom, x)
         return edge_adjoint(dom, p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0))
 
-    step = STEP_INIT
+    g = g.copy()
+    m = g.shape[0]
+    step = np.full(m, STEP_INIT)
     f = fval(g)
+    iters = np.full(m, MAX_ITER)
+    converged = np.zeros(m, dtype=bool)
+    live = np.arange(m)
     for it in range(MAX_ITER):
-        gr = grad(g)
-        cand, fc = None, None
-        while step > 1e-16:
-            trial = _project(g - step * gr)
+        if live.size == 0:
+            break
+        x = g[live]
+        gr = grad(x)
+        cand = np.empty_like(x)
+        fc = np.empty(live.size)
+        found = np.zeros(live.size, dtype=bool)
+        # backtracking line search on the rows (positions in live) still without a trial
+        search = np.flatnonzero(step[live] > 1e-16)
+        while search.size:
+            rows = live[search]
+            trial = _project(x[search] - step[rows, None] * gr[search])
             ft = fval(trial)
-            if ft <= f - 1e-12 * (1.0 + abs(f)):
-                cand, fc = trial, ft
-                break
-            step *= 0.5
-        if cand is None:
-            return g, it + 1, True
-        if np.linalg.norm(cand - g) <= TOL * (1.0 + np.linalg.norm(g)):
-            return cand, it + 1, True
-        g, f = cand, fc
-        step = min(step * 1.5, 1e3)
-    return g, MAX_ITER, False
+            ok = ft <= f[rows] - 1e-12 * (1.0 + np.abs(f[rows]))
+            cand[search[ok]] = trial[ok]
+            fc[search[ok]] = ft[ok]
+            found[search[ok]] = True
+            step[rows[~ok]] *= 0.5
+            search = search[~ok & (step[rows] > 1e-16)]
+        moving = found.copy()
+        moving[found] = ~(_row_norms(cand[found] - x[found]) <= TOL * (1.0 + _row_norms(x[found])))
+        g[live[found]] = cand[found]  # a row with no descent keeps its point
+        stopped = live[~moving]
+        iters[stopped] = it + 1
+        converged[stopped] = True
+        live = live[moving]
+        f[live] = fc[moving]
+        step[live] = np.minimum(step[live] * 1.5, 1e3)
+    return g, iters, converged
 
 
 def solve_L(dom: Domain, eta: float) -> VariationalResult:
@@ -167,42 +202,37 @@ def solve_L(dom: Domain, eta: float) -> VariationalResult:
 
     The nonsmooth |u|**p terms are replaced by (u**2 + kappa**2)**(p/2) and
     kappa is driven down a geometric schedule; iterates are projected onto
-    the nonnegative part of the unit sphere.  Ties between restarts are
+    the nonnegative part of the unit sphere.  All restarts descend together,
+    one matrix row each.  A restart counts as converged when it is
+    stationary at the last smoothing level.  Ties between restarts are
     broken toward the lexicographically largest profile.
     """
     p = exponent(eta)
     n = dom.n_sites
     rng = np.random.default_rng(SEED)
-
-    starts = [uniform_profile(dom).values]
-    for i in range(min(n, RESTARTS - 1)):
-        e = np.zeros(n)
-        e[i] = 1.0
-        starts.append(e)
-    while len(starts) < RESTARTS:
-        starts.append(_project(rng.random(n)))
+    deltas = np.eye(n)[: min(n, RESTARTS - 1)]
+    g = np.vstack([
+        uniform_profile(dom).values,
+        deltas,
+        _project(rng.random((RESTARTS - 1 - deltas.shape[0], n))),
+    ])
 
     total_iter = 0
-    converged = 0
-    finals: list[tuple[float, np.ndarray, bool]] = []
-    for g0 in starts:
-        g = g0.copy()
-        ok = True
-        for kap in KAPPAS:
-            g, iters, conv = _pgd(dom, g, p, kap)
-            total_iter += iters
-            ok = ok and conv
-        gp = ProbabilityProfile.normalized(dom, g)
-        finals.append((objective(gp, eta), gp.values, ok))
-        if ok:
-            converged += 1
+    for kap in KAPPAS:
+        g, iters, conv = _pgd(dom, g, p, kap)
+        total_iter += int(iters.sum())
+    converged = int(conv.sum())
     if converged == 0:
         raise NonConvergence(
-            f"no restart reached stationarity (restarts={len(starts)}, iterations={total_iter})"
+            f"no restart reached stationarity (restarts={RESTARTS}, iterations={total_iter})"
         )
 
-    best_val = min(v for v, _, _ in finals)
-    ties = [g for v, g, _ in finals if v <= best_val + 1e-9]
+    finals = []
+    for row in g:
+        gp = ProbabilityProfile.normalized(dom, row)
+        finals.append((objective(gp, eta), gp.values))
+    best_val = min(v for v, _ in finals)
+    ties = [g for v, g in finals if v <= best_val + 1e-9]
     ties.sort(key=lambda g: tuple(np.round(g, 12)), reverse=True)
     winner = ties[0]
     distinct: list[np.ndarray] = []
@@ -214,7 +244,7 @@ def solve_L(dom: Domain, eta: float) -> VariationalResult:
         minimizer=minimizer,
         value=objective(minimizer, eta),
         iterations=total_iter,
-        restarts=len(starts),
+        restarts=RESTARTS,
         converged_restarts=converged,
         minimizers=distinct,
     )

@@ -428,12 +428,38 @@ EMPTY_GRIDS = [
     ids=[" ".join(map(str, a)) + (" config" if c else "") for a, c in EMPTY_GRIDS],
 )
 def test_cli_empty_grid_exits_1(tmp_path, capsys, args, config):
+    assert_invalid_input_without_output(tmp_path, capsys, args, config)
+
+
+def assert_invalid_input_without_output(tmp_path, capsys, args, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         args = args + ["--config", tmp_path / "cfg.json"]
     assert run(args + ["--out", tmp_path / "out.csv"]) == 1
     assert "rwrc: invalid input" in capsys.readouterr().err
     assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json"}
+
+
+# grids that are not lists of numbers (flags, config): invalid input, no output
+MALFORMED_GRIDS = [
+    (["nonexit", "--times", "1,abc"], None),
+    (["eigen-tail", "--eps", "0.1,abc"], None),
+    (["nonexit"], {"times": 5}),
+    (["nonexit"], {"times": "10"}),
+    (["nonexit"], {"times": [1.0, "abc"]}),
+    (["nonexit"], {"deltas": 0.4}),
+    (["nonexit"], {"deltas": "0.4"}),
+    (["nonexit"], {"deltas": [0.4, None]}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    MALFORMED_GRIDS,
+    ids=[" ".join(map(str, a)) + (f" config {c}" if c else "") for a, c in MALFORMED_GRIDS],
+)
+def test_cli_malformed_grid_exits_1(tmp_path, capsys, args, config):
+    assert_invalid_input_without_output(tmp_path, capsys, args, config)
 
 
 MC_BOX2D_ARGS = [

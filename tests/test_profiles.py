@@ -94,3 +94,14 @@ def test_edge_differences_stacked_rows():
     for i in range(3):
         for j in range(4):
             assert np.array_equal(rows[i, j], edge_differences(dom, stack[i, j]))
+
+
+@pytest.mark.parametrize("dom", [box_domain(1, 1), box_domain(2, 1)])
+def test_edge_adjoint_stacked_rows(dom):
+    # the lockstep solver relies on a stack giving each row's bits exactly
+    stack = np.random.default_rng(6).normal(size=(3, 4, dom.n_edges))
+    sums = edge_adjoint(dom, stack)
+    assert sums.shape == (3, 4, dom.n_sites)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(sums[i, j], edge_adjoint(dom, stack[i, j]))

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from rwrc.domain import box_domain, build_domain
+import rwrc.variational as variational
 from rwrc.errors import DomainTooLarge, NonPositiveArgument
-from rwrc.profiles import ProbabilityProfile, edge_differences, uniform_profile
+from rwrc.profiles import ProbabilityProfile, edge_adjoint, edge_differences, uniform_profile
 from rwrc.rates import joint_rate_J, k_const
 from rwrc.tail_law import TailLaw
-from rwrc.variational import brute_force_L, objective, solve_L
+from rwrc.variational import (
+    KAPPAS, MAX_ITER, RESTARTS, SEED, STEP_INIT, TOL, brute_force_L, exponent, objective, solve_L,
+)
 
 
 def chain(n):
@@ -153,3 +156,120 @@ def test_joint_rate_consistency():
 def test_eta_guard():
     with pytest.raises(NonPositiveArgument):
         solve_L(chain(2), -1.0)
+
+
+# The solver before its restarts ran in lockstep: one restart at a time, one
+# vector per call.  Kept as a reference the lockstep solver must match bit for bit.
+
+
+def reference_project(v):
+    w = np.clip(v, 0.0, None)
+    nrm = np.linalg.norm(w)
+    if nrm <= 0.0:
+        w = np.ones_like(v)
+        nrm = np.linalg.norm(w)
+    return w / nrm
+
+
+def reference_pgd(dom, g, p, kappa):
+    def fval(x):
+        u = edge_differences(dom, x)
+        return float(np.sum((u * u + kappa * kappa) ** (p / 2.0)))
+
+    def grad(x):
+        u = edge_differences(dom, x)
+        return edge_adjoint(dom, p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0))
+
+    step = STEP_INIT
+    f = fval(g)
+    for it in range(MAX_ITER):
+        gr = grad(g)
+        cand, fc = None, None
+        while step > 1e-16:
+            trial = reference_project(g - step * gr)
+            ft = fval(trial)
+            if ft <= f - 1e-12 * (1.0 + abs(f)):
+                cand, fc = trial, ft
+                break
+            step *= 0.5
+        if cand is None:
+            return g, it + 1, True
+        if np.linalg.norm(cand - g) <= TOL * (1.0 + np.linalg.norm(g)):
+            return cand, it + 1, True
+        g, f = cand, fc
+        step = min(step * 1.5, 1e3)
+    return g, MAX_ITER, False
+
+
+def reference_solve_L(dom, eta):
+    """(value, iterations, converged restarts, minimizer, minimizers) of the per-restart solver."""
+    p = exponent(eta)
+    n = dom.n_sites
+    rng = np.random.default_rng(SEED)
+    starts = [uniform_profile(dom).values]
+    for i in range(min(n, RESTARTS - 1)):
+        e = np.zeros(n)
+        e[i] = 1.0
+        starts.append(e)
+    while len(starts) < RESTARTS:
+        starts.append(reference_project(rng.random(n)))
+    total_iter = 0
+    converged = 0
+    finals = []
+    for g in starts:
+        for kap in KAPPAS:
+            g, iters, conv = reference_pgd(dom, g, p, kap)
+            total_iter += iters
+        converged += conv  # stationary at the last smoothing level
+        gp = ProbabilityProfile.normalized(dom, g)
+        finals.append((objective(gp, eta), gp.values))
+    best_val = min(v for v, _ in finals)
+    ties = [g for v, g in finals if v <= best_val + 1e-9]
+    ties.sort(key=lambda g: tuple(np.round(g, 12)), reverse=True)
+    distinct = []
+    for g in ties:
+        if all(np.max(np.abs(g - h)) > 1e-6 for h in distinct):
+            distinct.append(g.copy())
+    minimizer = ProbabilityProfile.normalized(dom, ties[0])
+    return objective(minimizer, eta), total_iter, converged, minimizer.values, distinct
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "dom", [chain(2), chain(3), box_domain(1, 1), box_domain(2, 0), box_domain(2, 1)],
+    ids=["chain2", "chain3", "box1d:1", "box2d:0", "box2d:1"],
+)
+def test_lockstep_solver_matches_per_restart_reference(dom, eta):
+    res = solve_L(dom, eta)
+    value, iterations, converged, minimizer, minimizers = reference_solve_L(dom, eta)
+    assert res.value == value
+    assert res.iterations == iterations
+    assert res.converged_restarts == converged
+    assert np.array_equal(res.minimizer.values, minimizer)
+    assert len(res.minimizers) == len(minimizers)
+    for got, want in zip(res.minimizers, minimizers):
+        assert np.array_equal(got, want)
+
+
+def test_solver_counts_restarts_converged_at_the_last_level():
+    # on box1d:5 at eta = 2 every restart stalls at MAX_ITER at kappa = 1e-3 and
+    # 1e-4, then is stationary at the finer levels
+    res = solve_L(box_domain(1, 5), 2.0)
+    assert res.converged_restarts == 32
+    # the normalized indicator of all 11 sites: 2 exterior edges, |A|**(p/2) = 11**(2/3)
+    assert res.value < 2.0 / 11.0 ** (2.0 / 3.0)
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+def test_solver_edge_difference_calls_are_per_step_not_per_restart(monkeypatch, eta):
+    # lockstep restarts make 814-1418 calls on box1d:1; one restart at a time made 13,264-16,396
+    calls = 0
+
+    def counted(dom, values):
+        nonlocal calls
+        calls += 1
+        return edge_differences(dom, values)
+
+    monkeypatch.setattr(variational, "edge_differences", counted)
+    solve_L(box_domain(1, 1), eta)
+    assert 0 < calls <= 3000
