@@ -7,7 +7,7 @@ import numpy as np
 from rwrc.conductance import sample_field, site_totals
 from rwrc.domain import box_domain
 from rwrc.tail_law import TailLaw
-from rwrc.walk import local_times, simulate
+from rwrc.walk import simulate
 
 law = TailLaw(1.0, 1.0)
 dom = box_domain(1, 1)
@@ -23,7 +23,7 @@ print("site totals:", np.round(site_totals(f), 3))
 t = 3.0
 for k in range(4):
     p = simulate(f, dom, t, rng)
-    occ = local_times(p)
+    occ = p.occupation
     tag = f"exited at {p.exit_time:.3f} through {p.exit_point}" if p.exited else "survived"
     print(f"\npath {k}: {p.n_jumps} jumps, {tag}")
     print("  occupation:", np.round(occ, 3), " sum", round(occ.sum(), 12))

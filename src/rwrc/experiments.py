@@ -79,8 +79,8 @@ class ExperimentConfig:
             eta=eta,
             dcoef=dcoef,
             times=times,
-            trials=int(doc.get("trials", 10000)),
-            inner_trials=int(doc.get("inner_trials", 200)),
+            trials=_trial_count(doc.get("trials", 10000), "trials"),
+            inner_trials=_trial_count(doc.get("inner_trials", 200), "inner_trials"),
             deltas=deltas,
             seed=None if seed is None else int(seed),
             out=doc.get("out"),
@@ -112,6 +112,23 @@ def _number_list(value, key: str) -> list:
     ):
         raise ArgumentOutOfRange(f"{key} must be a list of numbers, got {value!r}")
     return [float(x) for x in value]
+
+
+def _trial_count(value, key: str) -> int:
+    """A trial count read from a config: an integer of at least 1."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ArgumentOutOfRange(f"{key} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ArgumentOutOfRange(f"{key} must be at least 1, got {n}")
+    return n
+
+
+def _require_se_trials(config: ExperimentConfig) -> None:
+    """A standard error from the sample standard deviation needs two trials."""
+    if config.trials < 2:
+        raise ArgumentOutOfRange(f"a standard error needs at least 2 trials, got {config.trials}")
 
 
 def _parse_grid(text: str, flag: str) -> list:
@@ -181,6 +198,7 @@ def annealed_nonexit_quadrature(law: TailLaw, t: float) -> AnnealedEstimate:
 
 def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Plain Monte Carlo: prior fields, spectral inner probability."""
+    _require_se_trials(config)
     dom = config.build_domain()
     law = config.law()
     rng = _require_rng(config)
@@ -251,6 +269,7 @@ def _ess(logw: np.ndarray) -> float:
 
 def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Importance sampling with tilted fields, spectral inner probability."""
+    _require_se_trials(config)
     dom = config.build_domain()
     law = config.law()
     rng = _require_rng(config)
@@ -425,6 +444,7 @@ def _run_solve_variational(args, config: ExperimentConfig, law: TailLaw):
         "minimizers": [m.tolist() for m in res.minimizers],
         "iterations": res.iterations,
         "restarts": res.restarts,
+        "converged_restarts": res.converged_restarts,
     }
     if args.brute_force:
         doc["brute_force_L"] = brute_force_L(dom, law.eta).value
@@ -480,6 +500,7 @@ def _run_girsanov_test(args, config: ExperimentConfig, law: TailLaw):
     lo, hi = args.lo, args.hi
     if not (0 < lo <= hi):
         raise ArgumentOutOfRange("the target band must satisfy 0 < lo <= hi")
+    _require_se_trials(config)
     dom = config.build_domain()
     rng = _require_rng(config)
     t = config.times[0]

@@ -25,17 +25,16 @@ from .errors import (
 )
 from .profiles import edge_adjoint, edge_differences
 from .spectral import semigroup_nonexit
-from .walk import PathRecord, _walk_tables, local_times, simulate
+from .walk import PathRecord, _walk_tables, simulate
 
 
 def girsanov_log_density(p: PathRecord, phi: ConductanceField, psi: ConductanceField) -> float:
     """log of the density of the phi-walk relative to the psi-walk along p."""
     require_same_domain(phi, p.domain)
     require_same_domain(psi, p.domain)
-    log_ratio = np.log(phi.weights) - np.log(psi.weights)
-    edges = np.append(p.jump_edges, p.exit_edge) if p.exited else p.jump_edges
-    rate_diff = _walk_tables(phi)[0] - _walk_tables(psi)[0]
-    return float(np.sum(log_ratio[edges]) - local_times(p) @ rate_diff)
+    a, b = _walk_tables(phi), _walk_tables(psi)
+    log_ratio = a.log_weights - b.log_weights
+    return float(log_ratio[p.crossed].sum() - p.occupation @ (a.rates - b.rates))
 
 
 def reweighted_probability(

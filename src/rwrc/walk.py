@@ -9,6 +9,8 @@ are reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,9 @@ class PathRecord:
     ``jump_times`` holds the corresponding interior jump times, strictly
     increasing and bounded by the horizon (by the exit time if the walk
     exited).  The exterior endpoint of an exit is kept as a raw lattice
-    point since it has no site index.
+    point since it has no site index.  ``occupation`` is the time spent at
+    each site up to ``end_time``, and ``crossed`` lists the traversed edges:
+    the jump edges, then the exit edge if the walk exited.
     """
 
     domain: Domain
@@ -39,6 +43,8 @@ class PathRecord:
     exit_time: float | None
     exit_edge: int | None
     exit_point: tuple[int, ...] | None
+    occupation: np.ndarray
+    crossed: np.ndarray
 
     @property
     def n_jumps(self) -> int:
@@ -49,18 +55,43 @@ class PathRecord:
         return float(self.exit_time) if self.exited else self.horizon
 
 
-def _walk_tables(f: ConductanceField) -> tuple[np.ndarray, np.ndarray]:
-    """Jump rates and cumulative edge-selection probabilities per site, memoized."""
+class _WalkTables:
+    """Jump rates and cumulative edge-selection rows of one field.
+
+    ``rates`` and ``cum`` are arrays for the lockstep engine.  ``lists`` holds
+    the same rows, plus the domain's ``site_edges`` and ``site_nbrs``, as
+    Python lists, since the per-path engine reads one entry per jump and a
+    list index is cheaper than a numpy scalar read.  ``lists`` and
+    ``log_weights`` are built on first use.
+    """
+
+    def __init__(self, f: ConductanceField):
+        self.weights = f.weights
+        self.domain = f.domain
+        self.rates = site_totals(f)
+        probs = f.weights[f.domain.site_edges] / self.rates[:, None]
+        self.cum = np.cumsum(probs, axis=1)
+        self.cum[:, -1] = 1.0
+
+    @functools.cached_property
+    def lists(self) -> tuple[list, list, list, list]:
+        edges, nbrs = self.domain.site_edges.tolist(), self.domain.site_nbrs.tolist()
+        return self.rates.tolist(), self.cum.tolist(), edges, nbrs
+
+    @functools.cached_property
+    def log_weights(self) -> np.ndarray:
+        return np.log(self.weights)
+
+
+def _walk_tables(f: ConductanceField) -> _WalkTables:
+    """The field's walk tables, memoized on it."""
     cached = getattr(f, "_walk_tables", None)
     if cached is not None:
         return cached
-    rates = site_totals(f)
-    probs = f.weights[f.domain.site_edges] / rates[:, None]
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = 1.0
+    tables = _WalkTables(f)
     # the field is frozen with read-only weights, so the tables never go stale
-    object.__setattr__(f, "_walk_tables", (rates, cum))
-    return rates, cum
+    object.__setattr__(f, "_walk_tables", tables)
+    return tables
 
 
 def simulate(
@@ -69,31 +100,36 @@ def simulate(
     t: float,
     rng: np.random.Generator,
 ) -> PathRecord:
-    """Run one path from the origin until it exits or reaches the horizon t."""
+    """Run one path from the origin until it exits or reaches the horizon t.
+
+    Local times are booked as the walk runs: each holding interval is added
+    to its site in path order, the arithmetic of differencing the jump times.
+    """
     if not (np.isfinite(t) and t >= 0):
         raise ArgumentOutOfRange(f"horizon must be a finite nonnegative time, got {t!r}")
     require_same_domain(f, dom)
-    rates, cum = _walk_tables(f)
+    rates, cum, site_edges, site_nbrs = _walk_tables(f).lists
+    exponential, uniform = rng.standard_exponential, rng.random
+    t = float(t)
     site = dom.origin_index
     now = 0.0
+    occupation = [0.0] * dom.n_sites
     jump_times: list[float] = []
     visited = [site]
-    jump_edges: list[int] = []
+    crossed: list[int] = []
     exited = False
     exit_time = exit_edge = exit_point = None
     while now < t:
-        hold = rng.standard_exponential() / rates[site]
-        nxt = now + hold
+        nxt = now + exponential() / rates[site]
         if nxt > t:
             break
-        u = rng.random()
-        row = cum[site]
-        k = int(np.searchsorted(row, u, side="right"))
-        if k >= row.shape[0]:
-            k = row.shape[0] - 1
-        edge = int(dom.site_edges[site, k])
-        target = int(dom.site_nbrs[site, k])
+        # searchsorted(side="right"); u < 1.0 = the row's last entry, so k is a column
+        k = bisect.bisect_right(cum[site], uniform())
+        edge = site_edges[site][k]
+        target = site_nbrs[site][k]
+        occupation[site] += nxt - now
         now = nxt
+        crossed.append(edge)
         if target < 0:
             exited = True
             exit_time = now
@@ -102,28 +138,24 @@ def simulate(
             break
         jump_times.append(now)
         visited.append(target)
-        jump_edges.append(edge)
         site = target
+    if not exited:
+        occupation[site] += t - now
+    crossed_arr = np.array(crossed, dtype=np.int64)
     return PathRecord(
         domain=dom,
         start=dom.origin_index,
-        jump_times=np.asarray(jump_times, dtype=float),
-        sites=np.asarray(visited, dtype=np.int64),
-        jump_edges=np.asarray(jump_edges, dtype=np.int64),
-        horizon=float(t),
+        jump_times=np.array(jump_times, dtype=float),
+        sites=np.array(visited, dtype=np.int64),
+        jump_edges=crossed_arr[: len(jump_times)],
+        horizon=t,
         exited=exited,
         exit_time=exit_time,
         exit_edge=exit_edge,
         exit_point=exit_point,
+        occupation=np.array(occupation),
+        crossed=crossed_arr,
     )
-
-
-def local_times(p: PathRecord) -> np.ndarray:
-    """Occupation time per site up to min(horizon, exit time)."""
-    occ = np.zeros(p.domain.n_sites)
-    bounds = np.concatenate(([0.0], p.jump_times, [p.end_time]))
-    np.add.at(occ, p.sites, np.diff(bounds))
-    return occ
 
 
 def _simulate_batch(
@@ -142,7 +174,8 @@ def _simulate_batch(
     per-path order.
     """
     require_same_domain(f, dom)
-    rates, cum = _walk_tables(f)
+    tables = _walk_tables(f)
+    rates, cum = tables.rates, tables.cum
     nbr = dom.site_nbrs
     cur = np.full(n, dom.origin_index, dtype=np.int64)
     now = np.zeros(n)

@@ -462,6 +462,45 @@ def test_cli_malformed_grid_exits_1(tmp_path, capsys, args, config):
     assert_invalid_input_without_output(tmp_path, capsys, args, config)
 
 
+# trial counts that leave a reported standard error undefined (flags, config): invalid input
+BAD_TRIALS = [
+    (["girsanov-test", "--trials", 0, "--seed", 1], None),
+    (["girsanov-test", "--trials", 1, "--seed", 1], None),
+    (["girsanov-test", "--trials", -3, "--seed", 1], None),
+    (["nonexit", "--method", "mc", "--trials", 1, "--seed", 1], None),
+    (["nonexit", "--method", "is", "--trials", 1, "--seed", 1], None),
+    (["nonexit"], {"trials": 0}),
+    (["ldp-check"], {"inner_trials": 0, "seed": 1}),
+    (["nonexit"], {"trials": "many"}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    BAD_TRIALS,
+    ids=[" ".join(map(str, a)) + (f" config {c}" if c else "") for a, c in BAD_TRIALS],
+)
+def test_cli_bad_trial_count_exits_1(tmp_path, capsys, args, config):
+    assert_invalid_input_without_output(tmp_path, capsys, args, config)
+
+
+def test_cli_solve_variational_reports_converged_restarts(tmp_path):
+    out = tmp_path / "var.json"
+    assert run(["solve-variational", "--domain", "box1d:5", "--eta", 2.0, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["restarts"] == 32 and doc["converged_restarts"] == 32
+
+
+def test_cli_girsanov_test_seeded_values(tmp_path):
+    out = tmp_path / "g.json"
+    args = ["girsanov-test", "--domain", "box2d:1", "--t", 2, "--trials", 500, "--seed", 0]
+    assert run(args + ["--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mean"] == 0.9728115528956243
+    assert doc["se"] == 0.06333656729238141
+    assert doc["cocycle_err"] == 2.220446049250313e-15
+
+
 MC_BOX2D_ARGS = [
     "nonexit", "--method", "mc", "--domain", "box2d:1", "--t", 10, "--trials", 40, "--seed", 101,
 ]

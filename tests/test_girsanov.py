@@ -44,6 +44,8 @@ def stay_path(dom, t):
         exit_time=None,
         exit_edge=None,
         exit_point=None,
+        occupation=np.where(np.arange(dom.n_sites) == dom.origin_index, float(t), 0.0),
+        crossed=np.empty(0, dtype=np.int64),
     )
 
 

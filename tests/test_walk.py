@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from rwrc.conductance import ConductanceField, sample_field, scale_field
+from rwrc.conductance import ConductanceField, sample_field, scale_field, site_totals
 from rwrc.domain import box_domain, build_domain
 from rwrc.spectral import semigroup_nonexit
 from rwrc.tail_law import TailLaw
-from rwrc.walk import _walk_tables, local_times, nonexit_mc, occupation_mc, simulate
+from rwrc.walk import _walk_tables, nonexit_mc, occupation_mc, simulate
 
 
 def two_site():
@@ -21,7 +23,7 @@ def test_zero_horizon():
     f = ConductanceField(dom, np.array([1.0, 1.0]))
     p = simulate(f, dom, 0.0, np.random.default_rng(0))
     assert p.n_jumps == 0 and not p.exited
-    occ = local_times(p)
+    occ = p.occupation
     assert occ.sum() == 0.0
 
 
@@ -55,7 +57,7 @@ def test_local_time_conservation():
     t = 3.0
     for _ in range(500):
         p = simulate(f, dom, t, rng)
-        occ = local_times(p)
+        occ = p.occupation
         end = p.exit_time if p.exited else t
         assert abs(occ.sum() - end) <= 1e-12 * t
         assert np.all(occ >= 0)
@@ -86,7 +88,7 @@ def test_two_site_local_times_split():
         p = simulate(f, dom, 1.0, rng)
         if p.exited or p.n_jumps != 1:
             continue
-        occ = local_times(p)
+        occ = p.occupation
         assert occ[p.start] == pytest.approx(p.jump_times[0], rel=1e-14)
         other = p.sites[1]
         assert occ[other] == pytest.approx(1.0 - p.jump_times[0], rel=1e-12)
@@ -158,7 +160,7 @@ def test_occupation_mc_matches_per_path_engine():
     exited2 = np.empty(n, dtype=bool)
     for i in range(n):
         p = simulate(f, dom, t, rng)
-        occ2[i] = local_times(p)
+        occ2[i] = p.occupation
         exited2[i] = p.exited
     for z in range(dom.n_sites):
         m1, m2 = occ[:, z].mean(), occ2[:, z].mean()
@@ -195,13 +197,92 @@ def test_walk_tables_follow_field_weights():
     w = np.array([2.0, 2.0])
     f = ConductanceField(dom, w)
     w[:] = 7.0  # the field keeps its own copy
-    rates, _ = _walk_tables(f)
-    assert rates[0] == 4.0
+    assert _walk_tables(f).rates[0] == 4.0
     with pytest.raises(ValueError):
         f.weights[:] = 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.weights = np.array([10.0, 10.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.domain = box_domain(1, 1)
-    assert _walk_tables(scale_field(f, 5.0))[0][0] == 20.0
-    assert _walk_tables(f)[0][0] == 4.0
+    assert _walk_tables(scale_field(f, 5.0)).rates[0] == 20.0
+    assert _walk_tables(f).rates[0] == 4.0
+
+
+def reference_simulate(f, dom, t, rng):
+    """The per-path engine on numpy tables: searchsorted edge choice, numpy
+    scalar reads, and local times from the differenced jump times."""
+    rates = site_totals(f)
+    cum = np.cumsum(f.weights[dom.site_edges] / rates[:, None], axis=1)
+    cum[:, -1] = 1.0
+    site = dom.origin_index
+    now = 0.0
+    jump_times, visited, jump_edges = [], [site], []
+    exit_time = exit_edge = exit_point = None
+    while now < t:
+        nxt = now + rng.standard_exponential() / rates[site]
+        if nxt > t:
+            break
+        row = cum[site]
+        k = int(np.searchsorted(row, rng.random(), side="right"))
+        if k >= row.shape[0]:
+            k = row.shape[0] - 1
+        edge = int(dom.site_edges[site, k])
+        target = int(dom.site_nbrs[site, k])
+        now = nxt
+        if target < 0:
+            exit_time, exit_edge, exit_point = now, edge, dom.edges[edge].b_point
+            break
+        jump_times.append(now)
+        visited.append(target)
+        jump_edges.append(edge)
+        site = target
+    end = t if exit_edge is None else exit_time
+    occ = np.zeros(dom.n_sites)
+    np.add.at(occ, visited, np.diff(np.concatenate(([0.0], jump_times, [end]))))
+    crossed = jump_edges + ([] if exit_edge is None else [exit_edge])
+    return {
+        "jump_times": np.asarray(jump_times, dtype=float),
+        "sites": np.asarray(visited, dtype=np.int64),
+        "jump_edges": np.asarray(jump_edges, dtype=np.int64),
+        "exited": exit_edge is not None,
+        "exit_time": exit_time,
+        "exit_edge": exit_edge,
+        "exit_point": exit_point,
+        "occupation": occ,
+        "crossed": np.asarray(crossed, dtype=np.int64),
+    }
+
+
+ENGINE_DOMAINS = {
+    "box1d:0": box_domain(1, 0),
+    "two-site": two_site(),
+    "box1d:1": box_domain(1, 1),
+    "box2d:1": box_domain(2, 1),
+}
+WEIGHTS = st.one_of(st.floats(1e-6, 3e-6), st.floats(0.05, 5.0))
+HORIZONS = st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(50.0, 2000.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(ENGINE_DOMAINS)),
+    data=st.data(),
+    t=HORIZONS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_matches_numpy_reference_bit_for_bit(name, data, t, seed):
+    dom = ENGINE_DOMAINS[name]
+    w = data.draw(st.lists(WEIGHTS, min_size=dom.n_edges, max_size=dom.n_edges))
+    f = ConductanceField(dom, np.array(w))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        p = simulate(f, dom, t, rng)
+        ref = reference_simulate(f, dom, t, ref_rng)
+        for key in ("jump_times", "sites", "jump_edges", "occupation", "crossed"):
+            got, want = getattr(p, key), ref[key]
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert np.all(got == want), key
+        for key in ("exited", "exit_time", "exit_edge", "exit_point"):
+            assert getattr(p, key) == ref[key], key
+        assert p.horizon == t
+    assert rng.random() == ref_rng.random()
