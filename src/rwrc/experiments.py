@@ -249,7 +249,8 @@ def _sample_tilted(
 
 
 def _log_weighted_mean(logterm: np.ndarray) -> tuple[float, float]:
-    """Log of the mean of exp(logterm) and the relative standard error."""
+    """Log of the mean of exp(logterm), over at least two terms, and the
+    relative standard error."""
     n = logterm.shape[0]
     finite = np.isfinite(logterm)
     if not finite.any():
@@ -257,7 +258,7 @@ def _log_weighted_mean(logterm: np.ndarray) -> tuple[float, float]:
     shift = float(logterm[finite].max())
     y = np.where(finite, np.exp(logterm - shift), 0.0)
     mean_y = float(np.mean(y))
-    sd_y = float(np.std(y, ddof=1)) if n > 1 else 0.0
+    sd_y = float(np.std(y, ddof=1))
     return shift + float(np.log(mean_y)), sd_y / (mean_y * np.sqrt(n))
 
 
@@ -341,6 +342,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     rescaled values against the joint rate and checks the lower-bound side
     within the empirical delta slack.
     """
+    _require_se_trials(config)
     dom = config.build_domain()
     if dom.n_sites > 3:
         raise DomainTooLarge("profile tracking check supports at most 3 sites")

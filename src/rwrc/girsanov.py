@@ -47,8 +47,8 @@ def reweighted_probability(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Estimate P(event) under phi by simulating under psi and reweighting."""
-    if n < 1:
-        raise ArgumentOutOfRange(f"trial count must be at least 1, got {n}")
+    if n < 2:
+        raise ArgumentOutOfRange(f"a standard error needs at least 2 trials, got {n}")
     require_same_domain(phi, dom)
     require_same_domain(psi, dom)
     vals = np.empty(int(n))
@@ -59,7 +59,7 @@ def reweighted_probability(
         else:
             vals[i] = 0.0
     est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se = float(np.std(vals, ddof=1) / np.sqrt(n))
     return est, se
 
 

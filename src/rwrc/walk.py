@@ -58,11 +58,13 @@ class PathRecord:
 class _WalkTables:
     """Jump rates and cumulative edge-selection rows of one field.
 
-    ``rates`` and ``cum`` are arrays for the lockstep engine.  ``lists`` holds
-    the same rows, plus the domain's ``site_edges`` and ``site_nbrs``, as
-    Python lists, since the per-path engine reads one entry per jump and a
-    list index is cheaper than a numpy scalar read.  ``lists`` and
-    ``log_weights`` are built on first use.
+    ``rates`` and ``columns``, the columns of ``cum`` but the last, are
+    arrays for the lockstep engine, which gathers one entry of each per live
+    walker and step.  ``lists`` holds ``rates`` and ``cum``, plus the domain's
+    ``site_edges`` and ``site_nbrs``, as Python lists, since the per-path
+    engine reads one entry per jump and a list index is cheaper than a numpy
+    scalar read.  ``columns``, ``lists`` and ``log_weights`` are built on
+    first use.
     """
 
     def __init__(self, f: ConductanceField):
@@ -77,6 +79,11 @@ class _WalkTables:
     def lists(self) -> tuple[list, list, list, list]:
         edges, nbrs = self.domain.site_edges.tolist(), self.domain.site_nbrs.tolist()
         return self.rates.tolist(), self.cum.tolist(), edges, nbrs
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The columns of ``cum`` but the last, each a contiguous array."""
+        return tuple(np.ascontiguousarray(col) for col in self.cum[:, :-1].T)
 
     @functools.cached_property
     def log_weights(self) -> np.ndarray:
@@ -168,49 +175,59 @@ def _simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Lockstep simulation of n independent paths.
 
-    Per step one vector of holding times is drawn for all running walkers,
-    then one vector of edge selections for those that jump; deterministic
-    under a fixed seed, though the draw order differs from simulate's
-    per-path order.
+    Only the live walkers are held: ``ids``, ``cur`` and ``now`` list the
+    walkers still running in ascending order, and a walker is dropped, by
+    one boolean mask, in the step where it passes the horizon or exits.
+    Per step one vector of holding times is drawn for the live walkers, then
+    one vector of edge selections for those that jump, both in walker order;
+    deterministic under a fixed seed, though the draw order differs from
+    simulate's per-path order.  The edge taken is the number of cumulative
+    columns, the last excepted, at or below the uniform draw: each row is
+    non-decreasing and ends at exactly 1.0, above every draw, so this is the
+    first column above the draw.  Each walker's holding intervals are added
+    to its occupation in step order.
     """
     require_same_domain(f, dom)
     tables = _walk_tables(f)
-    rates, cum = tables.rates, tables.cum
-    nbr = dom.site_nbrs
-    cur = np.full(n, dom.origin_index, dtype=np.int64)
-    now = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    rates, columns = tables.rates, tables.columns
+    n_sites, deg = dom.site_nbrs.shape
+    nbr = dom.site_nbrs.ravel()
+    exponential, uniform = rng.standard_exponential, rng.random
     exited = np.zeros(n, dtype=bool)
     end_time = np.full(n, float(t))
-    occ = np.zeros((n, dom.n_sites)) if want_occupation else None
-    while True:
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        r = rates[cur[idx]]
-        dt = rng.standard_exponential(idx.size) / r
-        t_new = now[idx] + dt
+    occ = np.zeros((n, n_sites)) if want_occupation else None
+    # occ[i, x] is cells[i * n_sites + x]; a flat index is cheaper than a pair
+    cells = occ.reshape(-1) if want_occupation else None
+    ids = np.arange(n)
+    cur = np.full(n, dom.origin_index, dtype=np.int64)
+    now = np.zeros(n)
+    while ids.size:
+        dt = exponential(ids.size) / rates[cur]
+        t_new = now + dt
         over = t_new > t
-        fin = idx[over]
-        if fin.size and want_occupation:
-            occ[fin, cur[fin]] += t - now[fin]
-        alive[fin] = False
-        mov = idx[~over]
-        if mov.size == 0:
-            continue
+        if np.count_nonzero(over):
+            if want_occupation:
+                cells[ids[over] * n_sites + cur[over]] += t - now[over]
+            keep = ~over
+            ids, cur, dt, t_new = ids[keep], cur[keep], dt[keep], t_new[keep]
+            if not ids.size:
+                break
         if want_occupation:
-            occ[mov, cur[mov]] += dt[~over]
-        now[mov] = t_new[~over]
-        u = rng.random(mov.size)
-        rows = cum[cur[mov]]
-        k = (u[:, None] < rows).argmax(axis=1)
-        target = nbr[cur[mov], k]
+            cells[ids * n_sites + cur] += dt
+        now = t_new
+        u = uniform(ids.size)
+        slot = cur * deg  # flat index into site_nbrs of the row's first column
+        for col in columns:
+            slot += u >= col[cur]
+        target = nbr[slot]
         out = target < 0
-        exd = mov[out]
-        exited[exd] = True
-        end_time[exd] = now[exd]
-        alive[exd] = False
-        cur[mov[~out]] = target[~out]
+        if np.count_nonzero(out):
+            gone = ids[out]
+            exited[gone] = True
+            end_time[gone] = now[out]
+            keep = ~out
+            ids, now, target = ids[keep], now[keep], target[keep]
+        cur = target
     return exited, end_time, occ
 
 
@@ -218,8 +235,8 @@ def nonexit_mc(
     f: ConductanceField, dom: Domain, t: float, n: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo non-exit probability with its binomial standard error."""
-    if n < 1:
-        raise ArgumentOutOfRange(f"trial count must be at least 1, got {n}")
+    if n < 2:
+        raise ArgumentOutOfRange(f"a standard error needs at least 2 trials, got {n}")
     if not (np.isfinite(t) and t >= 0):
         raise ArgumentOutOfRange(f"horizon must be a finite nonnegative time, got {t!r}")
     exited, _, _ = _simulate_batch(f, dom, t, int(n), rng, want_occupation=False)

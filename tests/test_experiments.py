@@ -233,6 +233,23 @@ def test_ldp_huge_delta_reduces_to_survival():
     assert rows[0]["log_estimate"] == rows[1]["log_estimate"]
 
 
+def test_ldp_needs_two_trials():
+    # with one field the relative standard error, and so the test's tolerance, was 0.0
+    doc = {
+        "domain": {"type": "sites", "sites": [[0], [1]], "d": 1},
+        "law": {"eta": 1.5, "D": 1.0},
+        "times": [16.0],
+        "trials": 1,
+        "inner_trials": 400,
+        "deltas": [0.6, 0.3],
+        "seed": 6,
+    }
+    c = ExperimentConfig.from_dict(doc)
+    g = solve_L(c.build_domain(), 1.5).minimizer
+    with pytest.raises(ArgumentOutOfRange):
+        ldp_point_check(c, g)
+
+
 def test_ldp_rejects_wrong_domain():
     from rwrc.errors import DomainMismatch
 
@@ -471,6 +488,7 @@ BAD_TRIALS = [
     (["nonexit", "--method", "is", "--trials", 1, "--seed", 1], None),
     (["nonexit"], {"trials": 0}),
     (["ldp-check"], {"inner_trials": 0, "seed": 1}),
+    (["ldp-check"], {"trials": 1, "seed": 1}),
     (["nonexit"], {"trials": "many"}),
 ]
 

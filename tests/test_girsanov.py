@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rwrc.conductance import ConductanceField, sample_field, site_totals
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import (
+    ArgumentOutOfRange,
     EpsilonTooLarge,
     FieldMismatch,
     NonPositiveArgument,
@@ -149,6 +150,15 @@ def test_reweighted_always_true_event():
         lambda p: True, phi, psi, dom, 1.0, 20_000, np.random.default_rng(10)
     )
     assert abs(est - 1.0) <= 3 * se
+
+
+def test_reweighted_needs_two_trials():
+    # the sample standard deviation of one draw is undefined; 0.0 would call it exact
+    dom = box_domain(1, 1)
+    psi = ConductanceField(dom, np.ones(dom.n_edges))
+    for n in (1, 0):
+        with pytest.raises(ArgumentOutOfRange):
+            reweighted_probability(lambda p: True, psi, psi, dom, 1.0, n, np.random.default_rng(0))
 
 
 def test_reweighted_nonexit_vs_semigroup():

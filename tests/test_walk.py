@@ -11,7 +11,8 @@ from rwrc.conductance import ConductanceField, sample_field, scale_field, site_t
 from rwrc.domain import box_domain, build_domain
 from rwrc.spectral import semigroup_nonexit
 from rwrc.tail_law import TailLaw
-from rwrc.walk import _walk_tables, nonexit_mc, occupation_mc, simulate
+from rwrc.errors import ArgumentOutOfRange
+from rwrc.walk import _simulate_batch, _walk_tables, nonexit_mc, occupation_mc, simulate
 
 
 def two_site():
@@ -127,6 +128,15 @@ def test_nonexit_mc_single_site():
     assert se == pytest.approx(math.sqrt(est * (1 - est) / 100_000), rel=1e-9)
     est0, se0 = nonexit_mc(f, dom, 0.0, 100, np.random.default_rng(0))
     assert est0 == 1.0 and se0 == 0.0
+
+
+def test_nonexit_mc_needs_two_trials():
+    # the binomial standard error of one draw is 0.0, which would report it as exact
+    dom = box_domain(1, 1)
+    f = ConductanceField(dom, np.ones(dom.n_edges))
+    for n in (1, 0):
+        with pytest.raises(ArgumentOutOfRange):
+            nonexit_mc(f, dom, 1.0, n, np.random.default_rng(0))
 
 
 def test_nonexit_mc_vs_semigroup():
@@ -285,4 +295,91 @@ def test_simulate_matches_numpy_reference_bit_for_bit(name, data, t, seed):
         for key in ("exited", "exit_time", "exit_edge", "exit_point"):
             assert getattr(p, key) == ref[key], key
         assert p.horizon == t
+    assert rng.random() == ref_rng.random()
+
+
+def reference_simulate_batch(f, dom, t, n, rng, want_occupation):
+    """The lockstep engine on full-size arrays: an ``alive`` mask gathered and
+    scattered every step, and the edge picked by argmax over the row."""
+    tables = _walk_tables(f)
+    rates, cum = tables.rates, tables.cum
+    nbr = dom.site_nbrs
+    cur = np.full(n, dom.origin_index, dtype=np.int64)
+    now = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    exited = np.zeros(n, dtype=bool)
+    end_time = np.full(n, float(t))
+    occ = np.zeros((n, dom.n_sites)) if want_occupation else None
+    while True:
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        r = rates[cur[idx]]
+        dt = rng.standard_exponential(idx.size) / r
+        t_new = now[idx] + dt
+        over = t_new > t
+        fin = idx[over]
+        if fin.size and want_occupation:
+            occ[fin, cur[fin]] += t - now[fin]
+        alive[fin] = False
+        mov = idx[~over]
+        if mov.size == 0:
+            continue
+        if want_occupation:
+            occ[mov, cur[mov]] += dt[~over]
+        now[mov] = t_new[~over]
+        u = rng.random(mov.size)
+        rows = cum[cur[mov]]
+        k = (u[:, None] < rows).argmax(axis=1)
+        target = nbr[cur[mov], k]
+        out = target < 0
+        exd = mov[out]
+        exited[exd] = True
+        end_time[exd] = now[exd]
+        alive[exd] = False
+        cur[mov[~out]] = target[~out]
+    return exited, end_time, occ
+
+
+BATCH_DOMAINS = {
+    "two-site": two_site(),
+    "box1d:1": box_domain(1, 1),
+    "box2d:1": box_domain(2, 1),
+    "box2d:2": box_domain(2, 2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("name", sorted(BATCH_DOMAINS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    t=st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.just(16.0)),
+    want_occupation=st.booleans(),
+    faint_site=st.one_of(st.none(), st.integers(0, 24)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_engine_matches_reference_bit_for_bit(
+    name, data, t, n, want_occupation, faint_site, seed
+):
+    dom = BATCH_DOMAINS[name]
+    w = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=dom.n_edges, max_size=dom.n_edges)))
+    if faint_site is not None:
+        # the site's last incident edge carries about 1e-300 of its rate, so the
+        # row's second-to-last cumulative entry rounds to 1.0 and counting the
+        # columns at or below the draw meets the row's end
+        site = faint_site % dom.n_sites
+        w[dom.site_edges[site, -1]] *= 1e-300
+    f = ConductanceField(dom, w)
+    if faint_site is not None:
+        assert abs(_walk_tables(f).cum[site, -2] - 1.0) <= 4e-16
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    exited, end_time, occ = _simulate_batch(f, dom, t, n, rng, want_occupation)
+    want_exited, want_end, want_occ = reference_simulate_batch(f, dom, t, n, ref_rng, want_occupation)
+    assert exited.dtype == want_exited.dtype and np.array_equal(exited, want_exited)
+    assert end_time.dtype == want_end.dtype and np.all(end_time == want_end)
+    if want_occupation:
+        assert occ.shape == want_occ.shape and np.all(occ == want_occ)
+    else:
+        assert occ is None and want_occ is None
     assert rng.random() == ref_rng.random()
