@@ -24,7 +24,9 @@ t = 3.0
 for k in range(4):
     p = simulate(f, dom, t, rng)
     occ = p.occupation
-    tag = f"exited at {p.exit_time:.3f} through {p.exit_point}" if p.exited else "survived"
+    tag = "survived"
+    if p.exited:
+        tag = f"exited at {p.exit_time:.3f} through {dom.edges[p.crossed[-1]].b_point}"
     print(f"\npath {k}: {p.n_jumps} jumps, {tag}")
     print("  occupation:", np.round(occ, 3), " sum", round(occ.sum(), 12))
 

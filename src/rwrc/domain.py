@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from .errors import (
     DuplicateSite,
     OriginMissing,
 )
-
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -40,7 +36,6 @@ class Edge:
     a: int
     b: int | None
     b_point: tuple[int, ...]
-    kind: str
 
 
 @dataclass(eq=False)
@@ -60,7 +55,6 @@ class Domain:
     edge_b: np.ndarray           # (m,) second endpoint index, -1 if exterior
     site_edges: np.ndarray       # (n, 2d) incident edge indices
     site_nbrs: np.ndarray        # (n, 2d) neighbour site index, -1 if exterior
-    index: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_sites(self) -> int:
@@ -72,9 +66,6 @@ class Domain:
 
     def site_tuple(self, i: int) -> tuple[int, ...]:
         return tuple(int(c) for c in self.sites[i])
-
-    def index_of(self, point) -> int | None:
-        return self.index.get(tuple(int(c) for c in np.atleast_1d(point)))
 
 
 def _coord(c) -> int:
@@ -161,11 +152,11 @@ def build_domain(points, d: int) -> Domain:
             j = index.get(q)
             if j is None:
                 eidx = len(edges)
-                edges.append(Edge(i, None, q, BOUNDARY))
+                edges.append(Edge(i, None, q))
                 _attach(i, eidx, -1)
             elif j > i:
                 eidx = len(edges)
-                edges.append(Edge(i, j, q, INTERIOR))
+                edges.append(Edge(i, j, q))
                 _attach(i, eidx, j)
                 _attach(j, eidx, i)
             # j < i: edge was created while scanning site j
@@ -182,7 +173,6 @@ def build_domain(points, d: int) -> Domain:
         edge_b=edge_b,
         site_edges=site_edges,
         site_nbrs=site_nbrs,
-        index=index,
     )
 
 

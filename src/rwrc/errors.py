@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument rules they guard."""
+
+import math
 
 
 class RwrcError(ValueError):
@@ -79,3 +81,17 @@ class NonConvergence(RwrcError):
 
 class DegenerateWeights(RwrcError):
     pass
+
+
+def require_time(t) -> float:
+    """A time or horizon: finite and nonnegative, returned as a float."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ArgumentOutOfRange(f"time must be finite and nonnegative, got {t!r}")
+    return float(t)
+
+
+def require_trials(n, least: int) -> int:
+    """A trial count of at least ``least``: 2 where a standard error is reported."""
+    if n < least:
+        raise ArgumentOutOfRange(f"need at least {least} trials, got {n}")
+    return int(n)

@@ -35,6 +35,8 @@ from .errors import (
     NonPositiveArgument,
     RwrcError,
     UnsupportedDomain,
+    require_time,
+    require_trials,
 )
 from .girsanov import girsanov_log_density
 from .profiles import ProbabilityProfile
@@ -43,7 +45,7 @@ from .spectral import eigen_tail, semigroup_nonexit
 from .tail_law import TailLaw, log_density, quantile, sample
 from .transforms import log_laplace_transform
 from .variational import brute_force_L, solve_L
-from .walk import _simulate_batch, simulate
+from .walk import occupation_mc, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +66,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        law = doc.get("law", {})
-        eta = float(law.get("eta", 1.0))
-        dcoef = float(law.get("D", 1.0))
-        if eta <= 0 or dcoef <= 0:
-            raise NonPositiveArgument("law parameters eta and D must be positive")
-        times = _number_list(doc.get("times", [1.0]), "times")
+        spec = doc.get("law", {})
+        law = TailLaw(float(spec.get("eta", 1.0)), float(spec.get("D", 1.0)))
+        times = [require_time(t) for t in _number_list(doc.get("times", [1.0]), "times")]
         if not times:
             raise ArgumentOutOfRange("the time grid is empty")
         deltas = sorted(_number_list(doc.get("deltas", [0.4, 0.2]), "deltas"), reverse=True)
         seed = doc.get("seed")
         return cls(
             domain=dict(doc.get("domain", {"type": "box", "d": 1, "half_width": 0})),
-            eta=eta,
-            dcoef=dcoef,
+            eta=law.eta,
+            dcoef=law.dcoef,
             times=times,
             trials=_trial_count(doc.get("trials", 10000), "trials"),
             inner_trials=_trial_count(doc.get("inner_trials", 200), "inner_trials"),
@@ -123,12 +122,6 @@ def _trial_count(value, key: str) -> int:
     if n < 1:
         raise ArgumentOutOfRange(f"{key} must be at least 1, got {n}")
     return n
-
-
-def _require_se_trials(config: ExperimentConfig) -> None:
-    """A standard error from the sample standard deviation needs two trials."""
-    if config.trials < 2:
-        raise ArgumentOutOfRange(f"a standard error needs at least 2 trials, got {config.trials}")
 
 
 def _parse_grid(text: str, flag: str) -> list:
@@ -183,22 +176,21 @@ def annealed_nonexit_quadrature(law: TailLaw, t: float) -> AnnealedEstimate:
     The average factorizes over the two boundary edges, so it is the squared
     Laplace transform of one conductance at argument t.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"time must be finite and nonnegative, got {t!r}")
-    log_est = 2.0 * log_laplace_transform(law, float(t))
+    t = require_time(t)
+    log_est = 2.0 * log_laplace_transform(law, t)
     return AnnealedEstimate(
-        t=float(t),
+        t=t,
         estimate=float(np.exp(log_est)),
         se=0.0,
         log_estimate=log_est,
-        rescaled=_rescale(law, float(t), log_est),
+        rescaled=_rescale(law, t, log_est),
         method="quadrature",
     )
 
 
 def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Plain Monte Carlo: prior fields, spectral inner probability."""
-    _require_se_trials(config)
+    require_trials(config.trials, 2)
     dom = config.build_domain()
     law = config.law()
     rng = _require_rng(config)
@@ -270,7 +262,7 @@ def _ess(logw: np.ndarray) -> float:
 
 def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Importance sampling with tilted fields, spectral inner probability."""
-    _require_se_trials(config)
+    require_trials(config.trials, 2)
     dom = config.build_domain()
     law = config.law()
     rng = _require_rng(config)
@@ -290,6 +282,12 @@ def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
             p = semigroup_nonexit(ConductanceField(dom, x[i]), dom, t)
             if p > 0:
                 logp[i] = np.log(p)
+        integrand_ess = _ess(logw + logp)
+        # not >= rather than <: a nan from all -inf terms fails the gate too
+        if not integrand_ess >= 10.0:
+            raise DegenerateWeights(
+                f"integrand effective sample size {integrand_ess:.2f} is below 10"
+            )
         log_est, rel_se = _log_weighted_mean(logw + logp)
         est = float(np.exp(log_est))
         out.append(
@@ -342,7 +340,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     rescaled values against the joint rate and checks the lower-bound side
     within the empirical delta slack.
     """
-    _require_se_trials(config)
+    require_trials(config.trials, 2)
     dom = config.build_domain()
     if dom.n_sites > 3:
         raise DomainTooLarge("profile tracking check supports at most 3 sites")
@@ -364,7 +362,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
         fracs = np.zeros((len(deltas), config.trials))
         for i in range(config.trials):
             f = ConductanceField(dom, x[i])
-            exited, _, occ = _simulate_batch(f, dom, t, config.inner_trials, rng, True)
+            exited, _, occ = occupation_mc(f, dom, t, config.inner_trials, rng)
             dist = np.linalg.norm(occ / t - g2[None, :], axis=1)
             for k, delta in enumerate(deltas):
                 fracs[k, i] = np.mean(~exited & (dist <= delta))
@@ -427,11 +425,11 @@ def _run_simulate(args, config: ExperimentConfig, law: TailLaw):
     t = config.times[0]
     p = simulate(f, dom, t, rng)
     header = ["step", "time"] + [f"x{i}" for i in range(dom.d)]
-    rows = [header, [0, 0.0, *dom.site_tuple(p.start)]]
+    rows = [header, [0, 0.0, *dom.site_tuple(dom.origin_index)]]
     for i in range(p.n_jumps):
         rows.append([i + 1, p.jump_times[i], *dom.site_tuple(int(p.sites[i + 1]))])
     if p.exited:
-        rows.append([p.n_jumps + 1, p.exit_time, *p.exit_point])
+        rows.append([p.n_jumps + 1, p.exit_time, *dom.edges[p.crossed[-1]].b_point])
     status = f"exited at {p.exit_time:.6g}" if p.exited else f"survived to {t:g}"
     status = f"simulate: {p.n_jumps} jumps, {status}"
     return "path.csv", rows, {"exited": p.exited, "jumps": p.n_jumps}, status, 0
@@ -502,7 +500,7 @@ def _run_girsanov_test(args, config: ExperimentConfig, law: TailLaw):
     lo, hi = args.lo, args.hi
     if not (0 < lo <= hi):
         raise ArgumentOutOfRange("the target band must satisfy 0 < lo <= hi")
-    _require_se_trials(config)
+    require_trials(config.trials, 2)
     dom = config.build_domain()
     rng = _require_rng(config)
     t = config.times[0]

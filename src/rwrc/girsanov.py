@@ -22,6 +22,8 @@ from .errors import (
     EpsilonTooLarge,
     NonPositiveArgument,
     UnsupportedSetShape,
+    require_time,
+    require_trials,
 )
 from .profiles import edge_adjoint, edge_differences
 from .spectral import semigroup_nonexit
@@ -47,12 +49,11 @@ def reweighted_probability(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Estimate P(event) under phi by simulating under psi and reweighting."""
-    if n < 2:
-        raise ArgumentOutOfRange(f"a standard error needs at least 2 trials, got {n}")
+    n = require_trials(n, 2)
     require_same_domain(phi, dom)
     require_same_domain(psi, dom)
-    vals = np.empty(int(n))
-    for i in range(int(n)):
+    vals = np.empty(n)
+    for i in range(n):
         p = simulate(psi, dom, t, rng)
         if event(p):
             vals[i] = np.exp(girsanov_log_density(p, phi, psi))
@@ -96,22 +97,21 @@ def comparison_bound_check(
     factor = float(np.exp(-4.0 * dom.d * eps * t))
     lowered = ConductanceField(dom, psi.weights - eps)
     if method == "exact":
-        base, base_se = semigroup_nonexit(lowered, dom, t), 0.0
+        def estimate(field):
+            return semigroup_nonexit(field, dom, t), 0.0
     elif method == "mc":
-        if event is None:
-            event = nonexit_event
-        base, base_se = _event_mc(event, lowered, dom, t, n_paths, rng)
+        event = nonexit_event if event is None else event
+
+        def estimate(field):
+            return _event_mc(event, field, dom, t, n_paths, rng)
     else:
         raise ArgumentOutOfRange(f"unknown method {method!r}")
+    base, base_se = estimate(lowered)
     margins = []
     violations = 0
     for _ in range(int(n_fields)):
         w = psi.weights + eps * (2.0 * rng.random(dom.n_edges) - 1.0)
-        phi = ConductanceField(dom, w)
-        if method == "exact":
-            lhs, lhs_se = semigroup_nonexit(phi, dom, t), 0.0
-        else:
-            lhs, lhs_se = _event_mc(event, phi, dom, t, n_paths, rng)
+        lhs, lhs_se = estimate(ConductanceField(dom, w))
         margin = lhs - factor * base
         tol = 1e-12 if method == "exact" else 3.0 * np.hypot(lhs_se, factor * base_se)
         if margin < -tol:
@@ -131,11 +131,8 @@ def comparison_bound_check(
 
 
 def _event_mc(event, f, dom, t, n, rng) -> tuple[float, float]:
-    hits = 0
-    for _ in range(int(n)):
-        if event(simulate(f, dom, t, rng)):
-            hits += 1
-    p = hits / n
+    n = require_trials(n, 2)
+    p = sum(bool(event(simulate(f, dom, t, rng))) for _ in range(n)) / n
     return float(p), float(np.sqrt(p * (1.0 - p) / n))
 
 
@@ -173,8 +170,7 @@ def feynman_kac_upper_bound(
     point or a box and a vertex maximum otherwise.
     """
     require_same_domain(phi, dom)
-    if not (np.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"time must be finite and nonnegative, got {t!r}")
+    t = require_time(t)
     f = np.asarray(f_test, dtype=float).reshape(-1)
     if f.shape[0] != dom.n_sites:
         raise DomainMismatch("test function length does not match the domain")

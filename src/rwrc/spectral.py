@@ -16,7 +16,13 @@ import numpy as np
 
 from .conductance import ConductanceField, require_same_domain, sample_field, site_totals
 from .domain import Domain
-from .errors import ArgumentOutOfRange, DegenerateWeights, NonConvergence, UnsupportedDomain
+from .errors import (
+    ArgumentOutOfRange,
+    DegenerateWeights,
+    NonConvergence,
+    UnsupportedDomain,
+    require_time,
+)
 from .tail_law import TailLaw
 from .transforms import log_pair_sum_tail
 
@@ -68,9 +74,8 @@ def _nonexit_from_decomposition(dec: SpectralDecomposition, start: int, t: float
 
 def semigroup_nonexit(f: ConductanceField, dom: Domain, t: float) -> float:
     """Exact probability that the walk has not exited by time t."""
-    if not (np.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"time must be finite and nonnegative, got {t!r}")
-    return _nonexit_from_decomposition(eigen(assemble(f, dom)), dom.origin_index, float(t))
+    t = require_time(t)
+    return _nonexit_from_decomposition(eigen(assemble(f, dom)), dom.origin_index, t)
 
 
 def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
@@ -80,8 +85,7 @@ def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
     starting sites of their non-exit probabilities; both margins should be
     nonnegative up to rounding.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"time must be finite and nonnegative, got {t!r}")
+    t = require_time(t)
     dec = eigen(assemble(f, dom))
     n = dom.n_sites
     lam1 = float(dec.eigenvalues[0])
@@ -90,7 +94,7 @@ def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
     principal = float(np.exp(-t * lam1))
     upper = n * n * principal
     return {
-        "t": float(t),
+        "t": t,
         "lambda1": lam1,
         "p0": p0,
         "upper": upper,

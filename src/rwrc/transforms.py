@@ -10,16 +10,18 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import ArgumentOutOfRange, NonPositiveArgument
+from .errors import ArgumentOutOfRange, NonPositiveArgument, require_time
 from .tail_law import TailLaw, log_cdf, log_density
 
 _EXP_GUARD = 500.0
 
 
 def log_laplace_transform(law: TailLaw, s: float) -> float:
-    """log E[exp(-s*w)] for a single conductance w, accurate for huge s."""
-    if not (np.isfinite(s) and s >= 0):
-        raise ArgumentOutOfRange(f"transform argument must be finite and nonnegative, got {s!r}")
+    """log E[exp(-s*w)] for a single conductance w, accurate for huge s.
+
+    exp(-s*w) is the chance that a rate-w clock has not rung by time s, so s
+    obeys the time rule."""
+    s = require_time(s)
     if s == 0.0:
         return 0.0
     eta, dcoef = law.eta, law.dcoef

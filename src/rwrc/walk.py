@@ -17,32 +17,28 @@ import numpy as np
 
 from .conductance import ConductanceField, require_same_domain, site_totals
 from .domain import Domain
-from .errors import ArgumentOutOfRange
+from .errors import require_time, require_trials
 
 
 @dataclass(eq=False)
 class PathRecord:
     """One killed path: interior jumps plus the optional exit event.
 
-    ``sites`` lists the visited site indices starting at ``start``;
+    ``sites`` lists the visited site indices, starting at the origin;
     ``jump_times`` holds the corresponding interior jump times, strictly
     increasing and bounded by the horizon (by the exit time if the walk
-    exited).  The exterior endpoint of an exit is kept as a raw lattice
-    point since it has no site index.  ``occupation`` is the time spent at
-    each site up to ``end_time``, and ``crossed`` lists the traversed edges:
-    the jump edges, then the exit edge if the walk exited.
+    exited).  ``occupation`` is the time spent at each site up to
+    ``end_time``, and ``crossed`` lists the traversed edges: the jump edges,
+    then the exit edge if the walk exited, whose ``b_point`` is the exterior
+    endpoint.
     """
 
     domain: Domain
-    start: int
     jump_times: np.ndarray
     sites: np.ndarray
-    jump_edges: np.ndarray
     horizon: float
     exited: bool
     exit_time: float | None
-    exit_edge: int | None
-    exit_point: tuple[int, ...] | None
     occupation: np.ndarray
     crossed: np.ndarray
 
@@ -112,20 +108,17 @@ def simulate(
     Local times are booked as the walk runs: each holding interval is added
     to its site in path order, the arithmetic of differencing the jump times.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"horizon must be a finite nonnegative time, got {t!r}")
+    t = require_time(t)
     require_same_domain(f, dom)
     rates, cum, site_edges, site_nbrs = _walk_tables(f).lists
     exponential, uniform = rng.standard_exponential, rng.random
-    t = float(t)
     site = dom.origin_index
     now = 0.0
     occupation = [0.0] * dom.n_sites
     jump_times: list[float] = []
     visited = [site]
     crossed: list[int] = []
-    exited = False
-    exit_time = exit_edge = exit_point = None
+    exit_time = None
     while now < t:
         nxt = now + exponential() / rates[site]
         if nxt > t:
@@ -138,30 +131,22 @@ def simulate(
         now = nxt
         crossed.append(edge)
         if target < 0:
-            exited = True
             exit_time = now
-            exit_edge = edge
-            exit_point = dom.edges[edge].b_point
             break
         jump_times.append(now)
         visited.append(target)
         site = target
-    if not exited:
+    if exit_time is None:
         occupation[site] += t - now
-    crossed_arr = np.array(crossed, dtype=np.int64)
     return PathRecord(
         domain=dom,
-        start=dom.origin_index,
         jump_times=np.array(jump_times, dtype=float),
         sites=np.array(visited, dtype=np.int64),
-        jump_edges=crossed_arr[: len(jump_times)],
         horizon=t,
-        exited=exited,
+        exited=exit_time is not None,
         exit_time=exit_time,
-        exit_edge=exit_edge,
-        exit_point=exit_point,
         occupation=np.array(occupation),
-        crossed=crossed_arr,
+        crossed=np.array(crossed, dtype=np.int64),
     )
 
 
@@ -235,11 +220,8 @@ def nonexit_mc(
     f: ConductanceField, dom: Domain, t: float, n: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo non-exit probability with its binomial standard error."""
-    if n < 2:
-        raise ArgumentOutOfRange(f"a standard error needs at least 2 trials, got {n}")
-    if not (np.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"horizon must be a finite nonnegative time, got {t!r}")
-    exited, _, _ = _simulate_batch(f, dom, t, int(n), rng, want_occupation=False)
+    n = require_trials(n, 2)
+    exited, _, _ = _simulate_batch(f, dom, require_time(t), n, rng, want_occupation=False)
     p = float(np.mean(~exited))
     se = float(np.sqrt(p * (1.0 - p) / n))
     return p, se
@@ -249,9 +231,5 @@ def occupation_mc(
     f: ConductanceField, dom: Domain, t: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exit flags, end times, and per-site occupation for n independent paths."""
-    if n < 1:
-        raise ArgumentOutOfRange(f"trial count must be at least 1, got {n}")
-    if not (np.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"horizon must be a finite nonnegative time, got {t!r}")
-    exited, end_time, occ = _simulate_batch(f, dom, t, int(n), rng, want_occupation=True)
-    return exited, end_time, occ
+    n = require_trials(n, 1)
+    return _simulate_batch(f, dom, require_time(t), n, rng, want_occupation=True)

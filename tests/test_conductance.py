@@ -68,10 +68,10 @@ def test_optimal_profile_cap_on_flat_edges():
     dom = build_domain([[0], [1]], 1)
     g = uniform_profile(dom)  # equal values, interior increment zero
     f = optimal_profile(g, TailLaw(1.0, 1.0), cap=123.0)
-    kinds = [e.kind for e in dom.edges]
-    assert f.weights[kinds.index("interior")] == 123.0
+    inner = [e.b is not None for e in dom.edges].index(True)
+    assert f.weights[inner] == 123.0
     f_default = optimal_profile(g, TailLaw(1.0, 1.0))
-    assert f_default.weights[kinds.index("interior")] == DEFAULT_CAP
+    assert f_default.weights[inner] == DEFAULT_CAP
 
 
 def test_optimal_profile_scale_consistency():

@@ -20,8 +20,8 @@ from rwrc.errors import (
 
 
 def edge_counts(dom):
-    kinds = [e.kind for e in dom.edges]
-    return kinds.count("interior"), kinds.count("boundary")
+    boundary = sum(e.b is None for e in dom.edges)
+    return len(dom.edges) - boundary, boundary
 
 
 def test_single_site_1d():
@@ -93,7 +93,7 @@ def test_canonical_ordering():
     ea, eb = a.edges, b.edges
     assert len(ea) == len(eb)
     for x, y in zip(ea, eb):
-        assert (x.a, x.b, x.b_point, x.kind) == (y.a, y.b, y.b_point, y.kind)
+        assert (x.a, x.b, x.b_point) == (y.a, y.b, y.b_point)
 
 
 def test_origin_index():
@@ -106,7 +106,7 @@ def test_origin_index():
 def test_neighbor_tables_consistent():
     dom = box_domain(2, 1)
     for e in dom.edges:
-        if e.kind == "interior":
+        if e.b is not None:
             assert e.b in dom.site_nbrs[e.a]
             assert e.a in dom.site_nbrs[e.b]
             diff = np.abs(dom.sites[e.a] - dom.sites[e.b]).sum()
@@ -120,7 +120,7 @@ def test_each_edge_listed_once():
     dom = box_domain(2, 1)
     seen = set()
     for e in dom.edges:
-        if e.kind == "interior":
+        if e.b is not None:
             key = (min(e.a, e.b), max(e.a, e.b))
         else:
             key = (e.a, e.b_point)

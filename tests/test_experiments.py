@@ -502,6 +502,35 @@ def test_cli_bad_trial_count_exits_1(tmp_path, capsys, args, config):
     assert_invalid_input_without_output(tmp_path, capsys, args, config)
 
 
+# times that are negative or not finite (flags, config): invalid input, no output
+BAD_TIMES = [
+    (["nonexit", "--method", "is", "--t", -1, "--trials", 4, "--seed", 1], None),
+    (["ldp-check", "--domain", "box1d:0", "--t", -1, "--trials", 4, "--seed", 1], None),
+    (["nonexit", "--t", "inf"], None),
+    (["girsanov-test", "--t", "nan", "--seed", 1], None),
+    (["nonexit"], {"times": [-1.0]}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    BAD_TIMES,
+    ids=[" ".join(map(str, a)) + (f" config {c}" if c else "") for a, c in BAD_TIMES],
+)
+def test_cli_bad_time_exits_1(tmp_path, capsys, args, config):
+    assert_invalid_input_without_output(tmp_path, capsys, args, config)
+
+
+def test_cli_nonexit_is_degenerate_integrand_exits_2(tmp_path, capsys):
+    # the proposal weights pass their ESS gate, but the non-exit probabilities
+    # put almost all the mass on one or two fields; the log estimate would be
+    # -26.62, against -4.717 +- 0.018 from plain Monte Carlo
+    args = ["nonexit", "--method", "is", "--domain", "box1d:1", "--t", 10, "--trials", 1000]
+    assert run(args + ["--seed", 1, "--out", tmp_path / "is.csv"]) == 2
+    assert "integrand effective sample size 1.52" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_solve_variational_reports_converged_restarts(tmp_path):
     out = tmp_path / "var.json"
     assert run(["solve-variational", "--domain", "box1d:5", "--eta", 2.0, "--out", out]) == 0

@@ -36,15 +36,11 @@ def two_site():
 def stay_path(dom, t):
     return PathRecord(
         domain=dom,
-        start=dom.origin_index,
         jump_times=np.empty(0),
         sites=np.array([dom.origin_index]),
-        jump_edges=np.empty(0, dtype=np.int64),
         horizon=t,
         exited=False,
         exit_time=None,
-        exit_edge=None,
-        exit_point=None,
         occupation=np.where(np.arange(dom.n_sites) == dom.origin_index, float(t), 0.0),
         crossed=np.empty(0, dtype=np.int64),
     )
@@ -106,11 +102,11 @@ def reference_log_density(p, phi, psi):
     prev = 0.0
     for i in range(p.n_jumps):
         tau = p.jump_times[i]
-        total += log_ratio[p.jump_edges[i]] - (tau - prev) * rate_diff[p.sites[i]]
+        total += log_ratio[p.crossed[i]] - (tau - prev) * rate_diff[p.sites[i]]
         prev = tau
     last_site = p.sites[-1]
     if p.exited:
-        total += log_ratio[p.exit_edge] - (p.exit_time - prev) * rate_diff[last_site]
+        total += log_ratio[p.crossed[-1]] - (p.exit_time - prev) * rate_diff[last_site]
     else:
         total += -(p.horizon - prev) * rate_diff[last_site]
     return total
@@ -208,6 +204,17 @@ def test_comparison_bound_mc():
         psi, 0.2, dom, 1.0, 10, np.random.default_rng(15), method="mc", n_paths=4000
     )
     assert rep["violations"] == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_comparison_bound_mc_needs_two_paths(n_paths):
+    # one path gives a binomial standard error of 0.0, which passes every margin
+    dom = box_domain(1, 1)
+    psi = ConductanceField(dom, np.ones(dom.n_edges))
+    with pytest.raises(ArgumentOutOfRange):
+        comparison_bound_check(
+            psi, 0.2, dom, 1.0, 3, np.random.default_rng(0), method="mc", n_paths=n_paths
+        )
 
 
 def test_comparison_bound_eps_too_large():

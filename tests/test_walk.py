@@ -39,7 +39,7 @@ def test_single_site_exit_time_mean():
         p = simulate(f, dom, 1e9, rng)
         assert p.exited
         times[i] = p.exit_time
-        if p.exit_point == (1,):
+        if dom.edges[p.crossed[-1]].b_point == (1,):
             right += 1
     # holding time ~ Exponential(4)
     mean, se = times.mean(), times.std(ddof=1) / math.sqrt(n)
@@ -77,7 +77,7 @@ def test_path_structure():
         for a, b in zip(p.sites[:-1], p.sites[1:]):
             assert np.abs(dom.sites[a] - dom.sites[b]).sum() == 1
         if p.exited:
-            assert p.exit_edge is not None and p.exit_point is not None
+            assert dom.edges[p.crossed[-1]].b is None
             assert p.exit_time <= 5.0
 
 
@@ -90,7 +90,7 @@ def test_two_site_local_times_split():
         if p.exited or p.n_jumps != 1:
             continue
         occ = p.occupation
-        assert occ[p.start] == pytest.approx(p.jump_times[0], rel=1e-14)
+        assert occ[p.sites[0]] == pytest.approx(p.jump_times[0], rel=1e-14)
         other = p.sites[1]
         assert occ[other] == pytest.approx(1.0 - p.jump_times[0], rel=1e-12)
 
@@ -227,7 +227,7 @@ def reference_simulate(f, dom, t, rng):
     site = dom.origin_index
     now = 0.0
     jump_times, visited, jump_edges = [], [site], []
-    exit_time = exit_edge = exit_point = None
+    exit_time = exit_edge = None
     while now < t:
         nxt = now + rng.standard_exponential() / rates[site]
         if nxt > t:
@@ -240,7 +240,7 @@ def reference_simulate(f, dom, t, rng):
         target = int(dom.site_nbrs[site, k])
         now = nxt
         if target < 0:
-            exit_time, exit_edge, exit_point = now, edge, dom.edges[edge].b_point
+            exit_time, exit_edge = now, edge
             break
         jump_times.append(now)
         visited.append(target)
@@ -253,11 +253,8 @@ def reference_simulate(f, dom, t, rng):
     return {
         "jump_times": np.asarray(jump_times, dtype=float),
         "sites": np.asarray(visited, dtype=np.int64),
-        "jump_edges": np.asarray(jump_edges, dtype=np.int64),
         "exited": exit_edge is not None,
         "exit_time": exit_time,
-        "exit_edge": exit_edge,
-        "exit_point": exit_point,
         "occupation": occ,
         "crossed": np.asarray(crossed, dtype=np.int64),
     }
@@ -288,11 +285,11 @@ def test_simulate_matches_numpy_reference_bit_for_bit(name, data, t, seed):
     for _ in range(20):
         p = simulate(f, dom, t, rng)
         ref = reference_simulate(f, dom, t, ref_rng)
-        for key in ("jump_times", "sites", "jump_edges", "occupation", "crossed"):
+        for key in ("jump_times", "sites", "occupation", "crossed"):
             got, want = getattr(p, key), ref[key]
             assert got.dtype == want.dtype and got.shape == want.shape, key
             assert np.all(got == want), key
-        for key in ("exited", "exit_time", "exit_edge", "exit_point"):
+        for key in ("exited", "exit_time"):
             assert getattr(p, key) == ref[key], key
         assert p.horizon == t
     assert rng.random() == ref_rng.random()
