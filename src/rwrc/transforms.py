@@ -2,18 +2,44 @@
 
 Both transforms here involve integrands spanning hundreds of orders of
 magnitude, so the integrals are evaluated after shifting by the integrand's
-log maximum and the results are returned on the log scale.
+log maximum and the results are returned on the log scale.  Each integral is
+taken over the whole line in v = u / w, where u is an unbounded coordinate
+that is 0 at the peak and w is the peak's Laplace width in u (one over the
+square root of minus the curvature there).  The bump then has width about 1
+in v however narrow it is in x, so QUADPACK cannot step over it.  The
+integrands run on Python floats.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import ArgumentOutOfRange, NonPositiveArgument, require_time
+from .errors import ArgumentOutOfRange, NonConvergence, NonPositiveArgument, require_time
 from .tail_law import TailLaw, log_cdf, log_density
 
 _EXP_GUARD = 500.0
+
+
+def _log_peak_integral(h, width: float, what: str) -> float:
+    """log of the integral of exp(h(u)) du over the real line.
+
+    h peaks near u = 0 with Laplace width about `width` and returns -inf where
+    x leaves the float range.
+    """
+    hstar = h(0.0)
+    # h(u) - h(0) carries a rounding error of a few ulps of |h(0)|; asking
+    # for more than that only makes QUADPACK report roundoff
+    epsrel = max(1e-12, 16.0 * 2.0**-52 * abs(hstar))
+    val, _ = integrate.quad(
+        lambda v: math.exp(min(h(width * v) - hstar, _EXP_GUARD)),
+        -math.inf, math.inf, epsabs=0.0, epsrel=epsrel, limit=400,
+    )
+    if not (math.isfinite(val) and val > 0.0):
+        raise NonConvergence(f"{what}: quadrature returned {val!r}")
+    return hstar + math.log(width) + math.log(val)
 
 
 def log_laplace_transform(law: TailLaw, s: float) -> float:
@@ -26,10 +52,7 @@ def log_laplace_transform(law: TailLaw, s: float) -> float:
         return 0.0
     eta, dcoef = law.eta, law.dcoef
 
-    def ell(x: float) -> float:
-        return -s * x + log_density(law, x)
-
-    # stationary point of ell: dcoef*eta - (eta+1)*x**eta - s*x**(eta+1) = 0,
+    # stationary point of -s*x + log_density: dcoef*eta - (eta+1)*x**eta - s*x**(eta+1) = 0,
     # strictly decreasing in x with a single positive root below the density mode
     def gfun(x: float) -> float:
         return dcoef * eta - (eta + 1.0) * x**eta - s * x ** (eta + 1.0)
@@ -42,28 +65,25 @@ def log_laplace_transform(law: TailLaw, s: float) -> float:
         if lo < 1e-300:
             raise ArgumentOutOfRange("failed to bracket the Laplace stationary point")
     xstar = optimize.brentq(gfun, lo, hi, rtol=1e-14)
-    lstar = ell(xstar)
+    log_xstar = math.log(xstar)
 
-    log_xstar = float(np.log(xstar))
-
-    def shifted(u: float) -> float:
-        # integrand decays double-exponentially in both directions; beyond the
-        # float range of x it is an exact zero
+    def h(u: float) -> float:
+        # u = log(x / xstar); dx = x du
         if abs(log_xstar + u) > 700.0:
-            return 0.0
-        x = xstar * np.exp(u)
-        if x <= 0.0:
-            return 0.0
-        return float(np.exp(min(ell(x) - lstar + u, _EXP_GUARD)))
+            return -math.inf
+        x = xstar * math.exp(u)
+        return -s * x + log_density(law, x) + u
 
-    val, _ = integrate.quad(shifted, -np.inf, np.inf, epsabs=0.0, epsrel=1e-10, limit=400)
-    return float(lstar + np.log(xstar) + np.log(val))
+    width = 1.0 / math.sqrt(s * xstar + eta * eta * dcoef * xstar**-eta)
+    return log_xstar + _log_peak_integral(h, width, f"log Laplace transform at s = {s:g}")
 
 
 def log_pair_sum_tail(law: TailLaw, eps: float) -> float:
     """log P(w1 + w2 <= eps) for two independent conductances."""
     if not (np.isfinite(eps) and eps > 0):
         raise NonPositiveArgument(f"eps must be positive and finite, got {eps!r}")
+    eps = float(eps)
+    eta, dcoef = law.eta, law.dcoef
 
     def ell(x: float) -> float:
         return log_cdf(law, eps - x) + log_density(law, x)
@@ -75,14 +95,29 @@ def log_pair_sum_tail(law: TailLaw, eps: float) -> float:
         options={"xatol": eps * 1e-13},
     )
     xstar = float(res.x)
-    lstar = float(ell(xstar))
+    ystar = eps - xstar
+    zstar = math.log(xstar / ystar)
 
-    def shifted(x: float) -> float:
-        if x <= 0.0 or x >= eps:
-            return 0.0
-        return float(np.exp(min(ell(x) - lstar, _EXP_GUARD)))
+    def h(u: float) -> float:
+        # u = z - zstar with z = log(x / (eps - x)), so both ends of (0, eps)
+        # are infinitely far; dx = x * (eps - x) / eps du
+        z = zstar + u
+        if abs(z) > 700.0:
+            return -math.inf
+        x = eps / (1.0 + math.exp(-z))
+        y = eps / (1.0 + math.exp(z))
+        if not (x > 0.0 and y > 0.0):
+            return -math.inf
+        return log_cdf(law, y) + log_density(law, x) + math.log(x / eps * y)
 
-    val, _ = integrate.quad(
-        shifted, 0.0, eps, points=[xstar], epsabs=0.0, epsrel=1e-10, limit=400
+    if ell(xstar) == -math.inf:
+        raise ArgumentOutOfRange(f"log P(w1 + w2 <= {eps:g}) is below the float range")
+    # minus the curvature of h at 0: that of ell times (dx/du)**2 = (x*y/eps)**2,
+    # written without powers beyond x**-eta, plus 2*x*y/eps**2 from the log Jacobian
+    a, b = xstar / eps, ystar / eps
+    curvature = (
+        dcoef * eta * (eta + 1.0) * (ystar**-eta * a * a + xstar**-eta * b * b)
+        - (eta + 1.0) * b * b
+        + 2.0 * a * b
     )
-    return float(lstar + np.log(val))
+    return _log_peak_integral(h, 1.0 / math.sqrt(curvature), f"log P(w1 + w2 <= {eps:g})")

@@ -159,7 +159,7 @@ def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float):
         return edge_adjoint(dom, p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0))
 
     g = g.copy()
-    m = g.shape[0]
+    m, n = g.shape
     step = np.full(m, STEP_INIT)
     f = fval(g)
     iters = np.full(m, MAX_ITER)
@@ -173,18 +173,30 @@ def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float):
         cand = np.empty_like(x)
         fc = np.empty(live.size)
         found = np.zeros(live.size, dtype=bool)
-        # backtracking line search on the rows (positions in live) still without a trial
+        # backtracking line search on the rows (positions in live) still without a
+        # trial.  Round r tries the next 2**r halvings of each such row's step at
+        # once and takes the first that descends; step * 0.5**j is exact, so each
+        # row accepts the step that halving once per try would reach.
+        thr = f[live] - 1e-12 * (1.0 + np.abs(f[live]))
         search = np.flatnonzero(step[live] > 1e-16)
+        k = 1
         while search.size:
             rows = live[search]
-            trial = _project(x[search] - step[rows, None] * gr[search])
-            ft = fval(trial)
-            ok = ft <= f[rows] - 1e-12 * (1.0 + np.abs(f[rows]))
-            cand[search[ok]] = trial[ok]
-            fc[search[ok]] = ft[ok]
-            found[search[ok]] = True
-            step[rows[~ok]] *= 0.5
-            search = search[~ok & (step[rows] > 1e-16)]
+            steps = step[rows, None] * 0.5 ** np.arange(k)
+            trial = _project((x[search, None] - steps[..., None] * gr[search, None]).reshape(-1, n))
+            ft = fval(trial).reshape(steps.shape)
+            ok = (ft <= thr[search, None]) & (steps > 1e-16)
+            hit = ok.any(axis=1)
+            # flat index of the first descending trial of each row that has one
+            pick = np.flatnonzero(hit) * k + np.argmax(ok[hit], axis=1)
+            done = search[hit]
+            cand[done] = trial[pick]
+            fc[done] = ft.ravel()[pick]
+            found[done] = True
+            step[rows[hit]] = steps.ravel()[pick]
+            step[rows[~hit]] *= 0.5**k
+            search = search[~hit & (step[rows] > 1e-16)]
+            k *= 2
         moving = found.copy()
         moving[found] = ~(_row_norms(cand[found] - x[found]) <= TOL * (1.0 + _row_norms(x[found])))
         g[live[found]] = cand[found]  # a row with no descent keeps its point

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import ArgumentOutOfRange, UnsupportedDomain
@@ -528,6 +529,36 @@ def test_cli_nonexit_is_degenerate_integrand_exits_2(tmp_path, capsys):
     args = ["nonexit", "--method", "is", "--domain", "box1d:1", "--t", 10, "--trials", 1000]
     assert run(args + ["--seed", 1, "--out", tmp_path / "is.csv"]) == 2
     assert "integrand effective sample size 1.52" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# Each peak below is narrower than QUADPACK's rule in the variable it used
+# to be integrated in; the quadrature returned 0 and the command wrote -inf
+# with exit 0.  The last row is the narrow one.
+NARROW_PEAKS = [
+    # (args, output column, target)
+    (["tauberian", "--eta", 2, "--times", "1e6,1e8"], 1, -k_const(TailLaw(2.0, 1.0))),
+    (["nonexit", "--method", "quadrature", "--eta", 3, "--times", "1e8,1e10"], 4,
+     -2.0 * k_const(TailLaw(3.0, 1.0))),
+    (["eigen-tail", "--eta", 2, "--eps", "1e-3,1e-4"], 3, -(2.0**3)),
+]
+
+
+@pytest.mark.parametrize("args,column,target", NARROW_PEAKS, ids=[a[0][0] for a in NARROW_PEAKS])
+def test_cli_narrow_quadrature_peaks_are_finite(tmp_path, args, column, target):
+    out = tmp_path / "narrow.csv"
+    assert run(args + ["--out", out]) == 0
+    _, rows = read_csv(out)
+    for row in rows:
+        value = float(row[column])
+        assert math.isfinite(value)
+        assert abs(value - target) <= 0.02 * abs(target)
+
+
+def test_cli_quadrature_without_a_positive_value_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: (0.0, 0.0))
+    assert run(["nonexit", "--t", 100.0, "--out", tmp_path / "ne.csv"]) == 2
+    assert "quadrature returned 0.0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

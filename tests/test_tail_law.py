@@ -111,3 +111,25 @@ def test_law_validation():
         TailLaw(1.0, -2.0)
     with pytest.raises(NonPositiveArgument):
         TailLaw(math.nan, 1.0)
+
+
+def test_float_path_matches_array_path():
+    # a Python float is evaluated with math, an array with numpy
+    law = TailLaw(1.3, 0.9)
+    xs = np.logspace(-2, 3, 40)
+    for x, d, c in zip(xs, log_density(law, xs), log_cdf(law, xs)):
+        assert type(log_density(law, float(x))) is float
+        assert log_density(law, float(x)) == pytest.approx(d, rel=1e-14, abs=1e-14)
+        assert log_cdf(law, float(x)) == pytest.approx(c, rel=1e-14)
+
+
+def test_float_path_overflow_is_minus_inf():
+    # 1e-200**-3 overflows a float: the log density and log cdf are -inf there
+    law = TailLaw(3.0, 1.0)
+    assert log_density(law, 1e-200) == -math.inf
+    assert log_cdf(law, 1e-200) == -math.inf
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(NonPositiveArgument):
+            log_density(law, bad)
+        with pytest.raises(NonPositiveArgument):
+            log_cdf(law, bad)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rwrc.errors import ArgumentOutOfRange, NonPositiveArgument
+from rwrc.errors import ArgumentOutOfRange, NonConvergence, NonPositiveArgument
 from rwrc.tail_law import TailLaw, cdf, log_density, sample
 from rwrc.transforms import log_laplace_transform, log_pair_sum_tail
 
@@ -18,6 +18,39 @@ def direct_log_laplace(law, s):
     lo, _ = integrate.quad(f, 0.0, xs, limit=400)
     hi, _ = integrate.quad(f, xs, np.inf, limit=400)
     return peak + math.log(lo + hi)
+
+
+def mpmath_log_laplace(eta, dcoef, s):
+    """log E[exp(-s*w)] by mpmath quadrature at 30 digits, in u = log(x/x*)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        eta, dcoef, s = mpmath.mpf(eta), mpmath.mpf(dcoef), mpmath.mpf(s)
+        mode = (dcoef * eta / (eta + 1)) ** (1 / eta)
+        lo = min(mode, (dcoef * eta / s) ** (1 / (eta + 1))) / 2
+        xs = mpmath.findroot(
+            lambda x: dcoef * eta - (eta + 1) * x**eta - s * x ** (eta + 1), (lo, mode),
+            solver="anderson",
+        )
+
+        def ell(x):
+            return -s * x + mpmath.log(dcoef * eta) - (eta + 1) * mpmath.log(x) - dcoef * x**-eta
+
+        peak = ell(xs)
+        w = 1 / mpmath.sqrt(s * xs + eta**2 * dcoef * xs**-eta)
+        pts = [k * w for k in (-40, -20, -10, -5, -2, 0, 2, 5, 10, 20, 40)]
+        integral = mpmath.quad(lambda u: mpmath.exp(ell(xs * mpmath.exp(u)) - peak + u), pts)
+        return float(peak + mpmath.log(xs) + mpmath.log(integral))
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_laplace_matches_mpmath(eta):
+    # for the larger s at eta >= 1.5 (at eta = 3 from s = 1e10 on) the peak is
+    # narrower than QUADPACK's rule in log x: integrated there it returns 0,
+    # whose log is -inf
+    law = TailLaw(eta, 1.0)
+    for s in (1.0, 1e4, 1e8, 1e12, 1e15):
+        ref = mpmath_log_laplace(eta, 1.0, s)
+        assert abs(log_laplace_transform(law, s) - ref) <= 1e-12 * abs(ref), s
 
 
 def test_laplace_zero():
@@ -103,3 +136,29 @@ def test_pair_sum_monotone():
 def test_pair_sum_rejects_bad_eps():
     with pytest.raises(NonPositiveArgument):
         log_pair_sum_tail(TailLaw(1.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("eta, eps", [(2.0, 1e-4), (2.0, 1e-6), (1.0, 1e-110)])
+def test_pair_sum_narrow_peak_is_finite(eta, eps):
+    # at eta = 2, eps = 1e-4 the peak is 7e-10 wide in x, far narrower than
+    # QUADPACK's rule on (0, eps); at eps = 1e-110 the curvature's x**-(eta+2)
+    # is beyond the float range.  eps**eta * log P -> -dcoef * 2**(eta + 1)
+    got = log_pair_sum_tail(TailLaw(eta, 1.0), eps)
+    assert math.isfinite(got)
+    assert eps**eta * got == pytest.approx(-(2.0 ** (eta + 1.0)), rel=1e-6)
+
+
+def test_pair_sum_below_the_float_range_is_rejected():
+    # log P = -dcoef * 2**(eta+1) * eps**-eta = -6.4e351 is no float
+    with pytest.raises(ArgumentOutOfRange, match="below the float range"):
+        log_pair_sum_tail(TailLaw(5.0, 1.0), 1e-70)
+
+
+@pytest.mark.parametrize(
+    "transform, arg", [(log_laplace_transform, 100.0), (log_pair_sum_tail, 0.5)]
+)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_quadrature_without_a_positive_finite_value_raises(monkeypatch, transform, arg, bad):
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: (bad, 0.0))
+    with pytest.raises(NonConvergence, match="quadrature returned"):
+        transform(TailLaw(1.0, 1.0), arg)

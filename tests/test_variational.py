@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwrc.domain import box_domain, build_domain
 import rwrc.variational as variational
 from rwrc.errors import DomainTooLarge, NonPositiveArgument
-from rwrc.profiles import ProbabilityProfile, edge_adjoint, edge_differences, uniform_profile
+from rwrc.profiles import (
+    ProbabilityProfile, delta_profile, edge_adjoint, edge_differences, uniform_profile,
+)
 from rwrc.rates import joint_rate_J, k_const
 from rwrc.tail_law import TailLaw
 from rwrc.variational import (
-    KAPPAS, MAX_ITER, RESTARTS, SEED, STEP_INIT, TOL, brute_force_L, exponent, objective, solve_L,
+    KAPPAS, MAX_ITER, RESTARTS, SEED, STEP_INIT, TOL, _project, _row_norms, brute_force_L, exponent,
+    objective, solve_L,
 )
 
 
@@ -171,7 +176,7 @@ def reference_project(v):
     return w / nrm
 
 
-def reference_pgd(dom, g, p, kappa):
+def reference_restart_pgd(dom, g, p, kappa):
     def fval(x):
         u = edge_differences(dom, x)
         return float(np.sum((u * u + kappa * kappa) ** (p / 2.0)))
@@ -218,7 +223,7 @@ def reference_solve_L(dom, eta):
     finals = []
     for g in starts:
         for kap in KAPPAS:
-            g, iters, conv = reference_pgd(dom, g, p, kap)
+            g, iters, conv = reference_restart_pgd(dom, g, p, kap)
             total_iter += iters
         converged += conv  # stationary at the last smoothing level
         gp = ProbabilityProfile.normalized(dom, g)
@@ -273,3 +278,130 @@ def test_solver_edge_difference_calls_are_per_step_not_per_restart(monkeypatch, 
     monkeypatch.setattr(variational, "edge_differences", counted)
     solve_L(box_domain(1, 1), eta)
     assert 0 < calls <= 3000
+
+
+# The lockstep line search before it tried several halvings per round: each
+# round halved the step of every row still searching once.  Kept verbatim as a
+# reference the batched line search must match bit for bit.
+
+
+def reference_pgd(dom, g, p, kappa):
+    """Projected gradient descent at one smoothing level, on all rows of g in lockstep.
+
+    Each row keeps its own step, objective value and iteration count, and
+    stops on its own: when the line search finds no descent, when a step
+    moves it by less than TOL relative to its norm (both count as
+    converged), or after MAX_ITER steps.  Returns the final rows, the number
+    of gradient steps each row took, and which rows converged.
+    """
+
+    def fval(x):
+        u = edge_differences(dom, x)
+        # summed along contiguous rows, so each row adds up in the order a 1-D sum uses
+        return np.sum(np.ascontiguousarray((u * u + kappa * kappa) ** (p / 2.0)), axis=1)
+
+    def grad(x):
+        u = edge_differences(dom, x)
+        return edge_adjoint(dom, p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0))
+
+    g = g.copy()
+    m = g.shape[0]
+    step = np.full(m, STEP_INIT)
+    f = fval(g)
+    iters = np.full(m, MAX_ITER)
+    converged = np.zeros(m, dtype=bool)
+    live = np.arange(m)
+    for it in range(MAX_ITER):
+        if live.size == 0:
+            break
+        x = g[live]
+        gr = grad(x)
+        cand = np.empty_like(x)
+        fc = np.empty(live.size)
+        found = np.zeros(live.size, dtype=bool)
+        # backtracking line search on the rows (positions in live) still without a trial
+        search = np.flatnonzero(step[live] > 1e-16)
+        while search.size:
+            rows = live[search]
+            trial = _project(x[search] - step[rows, None] * gr[search])
+            ft = fval(trial)
+            ok = ft <= f[rows] - 1e-12 * (1.0 + np.abs(f[rows]))
+            cand[search[ok]] = trial[ok]
+            fc[search[ok]] = ft[ok]
+            found[search[ok]] = True
+            step[rows[~ok]] *= 0.5
+            search = search[~ok & (step[rows] > 1e-16)]
+        moving = found.copy()
+        moving[found] = ~(_row_norms(cand[found] - x[found]) <= TOL * (1.0 + _row_norms(x[found])))
+        g[live[found]] = cand[found]  # a row with no descent keeps its point
+        stopped = live[~moving]
+        iters[stopped] = it + 1
+        converged[stopped] = True
+        live = live[moving]
+        f[live] = fc[moving]
+        step[live] = np.minimum(step[live] * 1.5, 1e3)
+    return g, iters, converged
+
+
+PGD_DOMAINS = {
+    "box1d:0": box_domain(1, 0),
+    "box1d:1": box_domain(1, 1),
+    "box1d:2": box_domain(1, 2),
+    "box1d:3": box_domain(1, 3),
+    "box2d:1": box_domain(2, 1),
+    "chain2": chain(2),
+}
+
+
+def assert_same_pgd(dom, g, p, kappa):
+    got = variational._pgd(dom, g, p, kappa)
+    want = reference_pgd(dom, g, p, kappa)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    return got[0]
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("eta", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("name", list(PGD_DOMAINS))
+def test_batched_line_search_matches_one_halving_per_round(name, eta, data):
+    dom = PGD_DOMAINS[name]
+    n = dom.n_sites
+    rows = data.draw(
+        st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    # a delta row too; zero rows project to the uniform profile
+    g = _project(np.vstack([np.array(rows).reshape(-1, n), np.eye(n)[:1]]))
+    p = exponent(eta)
+    for kap in KAPPAS:
+        g = assert_same_pgd(dom, g, p, kap)
+    # the rows are now stationary or stalled: rerunning the last level sends
+    # the searches that find no descent down to the 1e-16 step floor
+    assert_same_pgd(dom, g, p, KAPPAS[-1])
+
+
+def test_line_search_doubles_its_round_down_to_the_step_floor(monkeypatch):
+    # a delta start on box2d:1 at eta = 1, descended through every level, is
+    # stationary: one gradient step whose search tries 1, 2, 4, ... halvings
+    # per round until the step falls below 1e-16 (63 halvings of a step < 1)
+    dom = box_domain(2, 1)
+    p = exponent(1.0)
+    g = delta_profile(dom).values[None, :]
+    for kap in KAPPAS:
+        g = assert_same_pgd(dom, g, p, kap)
+    sizes = []
+    project = variational._project
+
+    def counted(v):
+        sizes.append(v.shape[0])
+        return project(v)
+
+    monkeypatch.setattr(variational, "_project", counted)
+    out, iters, converged = variational._pgd(dom, g, p, KAPPAS[-1])
+    assert sizes == [1, 2, 4, 8, 16, 32]
+    assert np.array_equal(out, g)
+    assert iters.tolist() == [1] and converged.tolist() == [True]
+    monkeypatch.undo()
+    assert_same_pgd(dom, g, p, KAPPAS[-1])
