@@ -325,7 +325,10 @@ def tauberian_check(law: TailLaw, m_const: float, t_list) -> list[TauberianPoint
     for t in t_list:
         if not (np.isfinite(t) and t > 0):
             raise ArgumentOutOfRange(f"times must be positive, got {t!r}")
-        s = float(t) ** ((1.0 + law.eta) / law.eta) * m_const
+        try:
+            s = float(t) ** ((1.0 + law.eta) / law.eta) * m_const
+        except OverflowError:
+            raise ArgumentOutOfRange(f"t**((1+eta)/eta) overflows at t = {t:g}") from None
         val = log_laplace_transform(law, s) / float(t)
         points.append(TauberianPoint(float(t), float(val), target))
     return points

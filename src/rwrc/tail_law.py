@@ -34,21 +34,8 @@ def _require_positive(x, name: str):
     return arr
 
 
-def _neg_power(x: float, eta: float) -> float:
-    """x**-eta for one positive Python float, inf where it overflows."""
-    if not x > 0.0:
-        raise NonPositiveArgument("x must be strictly positive")
-    try:
-        return x ** -eta
-    except OverflowError:
-        return math.inf
-
-
 def log_cdf(law: TailLaw, x):
     """Exact log lower tail, -dcoef * x**-eta."""
-    if type(x) is float:
-        # a Python float stays off numpy: quadrature integrands call this per point
-        return -law.dcoef * _neg_power(x, law.eta)
     arr = _require_positive(x, "x")
     # x**-eta saturates to inf for tiny x; -inf is the correct limit
     with np.errstate(over="ignore"):
@@ -73,8 +60,13 @@ def quantile(law: TailLaw, u):
 
 
 def log_density(law: TailLaw, x):
-    if type(x) is float:
-        tail = law.dcoef * _neg_power(x, law.eta)
+    if type(x) is float and x > 0.0:
+        # one valid Python float stays off numpy: quadrature integrands pass one
+        # per point.  Anything else, a bad float too, takes the checked array path
+        try:
+            tail = law.dcoef * x ** -law.eta
+        except OverflowError:  # where numpy saturates to inf
+            tail = math.inf
         return math.log(law.dcoef * law.eta) - (law.eta + 1.0) * math.log(x) - tail
     arr = _require_positive(x, "x")
     with np.errstate(over="ignore"):

@@ -23,13 +23,16 @@ from .tail_law import TailLaw, log_cdf, log_density
 _EXP_GUARD = 500.0
 
 
-def _log_peak_integral(h, width: float, what: str) -> float:
+def _log_peak_integral(h, width: float, ends: tuple[float, float], what: str) -> float:
     """log of the integral of exp(h(u)) du over the real line.
 
-    h peaks near u = 0 with Laplace width about `width` and returns -inf where
-    x leaves the float range.
+    h peaks near u = 0 with Laplace width about `width`.  Beyond `ends`, x
+    leaves the float range and h may return -inf, so the integrand must be
+    negligible there; for a small eta the law's mass reaches that far.
     """
     hstar = h(0.0)
+    if not max(h(ends[0]), h(ends[1])) < hstar - 40.0:
+        raise ArgumentOutOfRange(f"{what}: the integrand reaches beyond the float range")
     # h(u) - h(0) carries a rounding error of a few ulps of |h(0)|; asking
     # for more than that only makes QUADPACK report roundoff
     epsrel = max(1e-12, 16.0 * 2.0**-52 * abs(hstar))
@@ -52,18 +55,27 @@ def log_laplace_transform(law: TailLaw, s: float) -> float:
         return 0.0
     eta, dcoef = law.eta, law.dcoef
 
-    # stationary point of -s*x + log_density: dcoef*eta - (eta+1)*x**eta - s*x**(eta+1) = 0,
-    # strictly decreasing in x with a single positive root below the density mode
+    # peak of the integrand in u = log x, -s*x + log_density(x) + u: there
+    # dcoef*eta - eta*x**eta - s*x**(eta+1) = 0, strictly decreasing in x with a
+    # single positive root below its root at s = 0, dcoef**(1/eta)
     def gfun(x: float) -> float:
-        return dcoef * eta - (eta + 1.0) * x**eta - s * x ** (eta + 1.0)
+        return dcoef * eta - eta * x**eta - s * x ** (eta + 1.0)
 
-    mode = (dcoef * eta / (eta + 1.0)) ** (1.0 / eta)
-    hi = mode
-    lo = mode
+    log_top = math.log(dcoef) / eta
+    if abs(log_top) > 690.0:
+        raise ArgumentOutOfRange(
+            f"the Laplace peak dcoef**(1/eta) = exp({log_top:.4g}) is beyond the float range"
+        )
+    hi = lo = math.exp(log_top)
+    while gfun(hi) >= 0.0:
+        # rounding can leave gfun(hi) at or above 0 when s * hi**(eta+1) is tiny
+        hi *= 2.0
+        if hi > 1e300:
+            raise ArgumentOutOfRange("failed to bracket the Laplace peak")
     while gfun(lo) <= 0.0:
         lo *= 0.5
         if lo < 1e-300:
-            raise ArgumentOutOfRange("failed to bracket the Laplace stationary point")
+            raise ArgumentOutOfRange("failed to bracket the Laplace peak")
     xstar = optimize.brentq(gfun, lo, hi, rtol=1e-14)
     log_xstar = math.log(xstar)
 
@@ -71,11 +83,14 @@ def log_laplace_transform(law: TailLaw, s: float) -> float:
         # u = log(x / xstar); dx = x du
         if abs(log_xstar + u) > 700.0:
             return -math.inf
-        x = xstar * math.exp(u)
+        x = math.exp(log_xstar + u)
         return -s * x + log_density(law, x) + u
 
+    # minus the second derivative of h at its peak u = 0
     width = 1.0 / math.sqrt(s * xstar + eta * eta * dcoef * xstar**-eta)
-    return log_xstar + _log_peak_integral(h, width, f"log Laplace transform at s = {s:g}")
+    return log_xstar + _log_peak_integral(
+        h, width, (-699.0 - log_xstar, 699.0 - log_xstar), f"log Laplace transform at s = {s:g}"
+    )
 
 
 def log_pair_sum_tail(law: TailLaw, eps: float) -> float:
@@ -84,24 +99,15 @@ def log_pair_sum_tail(law: TailLaw, eps: float) -> float:
         raise NonPositiveArgument(f"eps must be positive and finite, got {eps!r}")
     eps = float(eps)
     eta, dcoef = law.eta, law.dcoef
+    log_eps = math.log(eps)
+    # x = eps / (1 + exp(-z)) and y = eps - x stay above 1e-300 for |z| <= zend
+    zend = min(699.0, log_eps + 690.0)
+    if zend < 1.0:
+        raise ArgumentOutOfRange(f"eps = {eps:g} leaves no room for w1 and w2 in the float range")
 
-    def ell(x: float) -> float:
-        return log_cdf(law, eps - x) + log_density(law, x)
-
-    res = optimize.minimize_scalar(
-        lambda x: -ell(x),
-        bounds=(eps * 1e-9, eps * (1.0 - 1e-9)),
-        method="bounded",
-        options={"xatol": eps * 1e-13},
-    )
-    xstar = float(res.x)
-    ystar = eps - xstar
-    zstar = math.log(xstar / ystar)
-
-    def h(u: float) -> float:
-        # u = z - zstar with z = log(x / (eps - x)), so both ends of (0, eps)
-        # are infinitely far; dx = x * (eps - x) / eps du
-        z = zstar + u
+    def h(z: float) -> float:
+        # log of the integrand in z = log(x / (eps - x)), so both ends of (0, eps)
+        # are infinitely far; dx = x * (eps - x) / eps dz
         if abs(z) > 700.0:
             return -math.inf
         x = eps / (1.0 + math.exp(-z))
@@ -110,14 +116,33 @@ def log_pair_sum_tail(law: TailLaw, eps: float) -> float:
             return -math.inf
         return log_cdf(law, y) + log_density(law, x) + math.log(x / eps * y)
 
-    if ell(xstar) == -math.inf:
-        raise ArgumentOutOfRange(f"log P(w1 + w2 <= {eps:g}) is below the float range")
-    # minus the curvature of h at 0: that of ell times (dx/du)**2 = (x*y/eps)**2,
-    # written without powers beyond x**-eta, plus 2*x*y/eps**2 from the log Jacobian
-    a, b = xstar / eps, ystar / eps
+    def slope(z: float) -> float:
+        # h'(z) = dcoef*eta*(x**-eta*b - y**-eta*a) - eta*b - a with a = x/eps,
+        # b = y/eps; the two powers are capped where they leave the float range
+        la, lb = -math.log1p(math.exp(-z)), -math.log1p(math.exp(z))
+        xb = math.exp(min(lb - eta * (log_eps + la), 700.0))
+        ya = math.exp(min(la - eta * (log_eps + lb), 700.0))
+        return dcoef * eta * (xb - ya) - eta * math.exp(lb) - math.exp(la)
+
+    # h' falls from +inf to -inf; at any zero the curvature below is positive, so
+    # h has one peak.  With both powers capped the slope loses its sign change
+    below = ArgumentOutOfRange(f"log P(w1 + w2 <= {eps:g}) is below the float range")
+    if not slope(-zend) > 0.0 > slope(zend):
+        raise below
+    zstar = optimize.brentq(slope, -zend, zend, xtol=1e-14)
+    if not h(zstar) > -math.inf:
+        raise below
+    # y as h(zstar) has it, so y**-eta is finite where log_cdf(y) is
+    x, y = eps / (1.0 + math.exp(-zstar)), eps / (1.0 + math.exp(zstar))
+    a, b = x / eps, y / eps
+    # minus h''(zstar), using h'(zstar) = 0 to write it with y**-eta alone
     curvature = (
-        dcoef * eta * (eta + 1.0) * (ystar**-eta * a * a + xstar**-eta * b * b)
-        - (eta + 1.0) * b * b
-        + 2.0 * a * b
+        dcoef * eta * (eta + 1.0) * y**-eta * a + eta * eta * b * b + (eta + 1.0) * a * b + a * a
     )
-    return _log_peak_integral(h, 1.0 / math.sqrt(curvature), f"log P(w1 + w2 <= {eps:g})")
+    # it overflows a little before h(zstar) does
+    if not curvature < math.inf:
+        raise below
+    return _log_peak_integral(
+        lambda u: h(zstar + u), 1.0 / math.sqrt(curvature), (-zend - zstar, zend - zstar),
+        f"log P(w1 + w2 <= {eps:g})",
+    )

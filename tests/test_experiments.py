@@ -555,6 +555,38 @@ def test_cli_narrow_quadrature_peaks_are_finite(tmp_path, args, column, target):
         assert abs(value - target) <= 0.02 * abs(target)
 
 
+# at eta = 0.01 the law spreads over hundreds of decades, and the quadrature
+# samples x up to exp(700)
+SMALL_ETA = [
+    (["tauberian", "--eta", 0.01, "--times", "1,100"], 1),
+    (["nonexit", "--method", "quadrature", "--eta", 0.01, "--times", "1,1e8"], 4),
+    (["eigen-tail", "--eta", 0.01, "--eps", "1e-3,1e-2"], 3),
+]
+
+
+@pytest.mark.parametrize("args,column", SMALL_ETA, ids=[a[0][0] for a in SMALL_ETA])
+def test_cli_small_eta_quadrature_is_finite(tmp_path, args, column):
+    out = tmp_path / "small.csv"
+    assert run(args + ["--out", out]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row[column])) for row in rows)
+
+
+# beyond the float range: s = t**((1+eta)/eta) at eta = 0.5, t = 1e200, and
+# the law's mass below exp(-700) at eta = 0.001
+BEYOND_FLOATS = [
+    ["tauberian", "--eta", 0.5, "--times", "1e200"],
+    ["tauberian", "--eta", 0.001, "--times", "1"],
+    ["eigen-tail", "--eta", 0.001, "--eps", "1e-3"],
+]
+
+
+@pytest.mark.parametrize("args", BEYOND_FLOATS, ids=[" ".join(map(str, a)) for a in BEYOND_FLOATS])
+def test_cli_beyond_the_float_range_exits_1(tmp_path, capsys, args):
+    assert_invalid_input_without_output(tmp_path, capsys, args, None)
+
+
 def test_cli_quadrature_without_a_positive_value_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(integrate, "quad", lambda *a, **k: (0.0, 0.0))
     assert run(["nonexit", "--t", 100.0, "--out", tmp_path / "ne.csv"]) == 2

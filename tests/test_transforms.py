@@ -21,36 +21,50 @@ def direct_log_laplace(law, s):
 
 
 def mpmath_log_laplace(eta, dcoef, s):
-    """log E[exp(-s*w)] by mpmath quadrature at 30 digits, in u = log(x/x*)."""
+    """log E[exp(-s*w)] by mpmath quadrature at 30 digits, in u = log(x/x*).
+
+    x* is the peak of the integrand in u, where
+    dcoef*eta - eta*x**eta - s*x**(eta+1) = 0, and w its Laplace width."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         eta, dcoef, s = mpmath.mpf(eta), mpmath.mpf(dcoef), mpmath.mpf(s)
-        mode = (dcoef * eta / (eta + 1)) ** (1 / eta)
-        lo = min(mode, (dcoef * eta / s) ** (1 / (eta + 1))) / 2
+        top = dcoef ** (1 / eta)
+        lo = min(top, (dcoef * eta / s) ** (1 / (eta + 1))) / 2
         xs = mpmath.findroot(
-            lambda x: dcoef * eta - (eta + 1) * x**eta - s * x ** (eta + 1), (lo, mode),
-            solver="anderson",
+            lambda x: dcoef * eta - eta * x**eta - s * x ** (eta + 1), (lo, top), solver="anderson"
         )
 
-        def ell(x):
-            return -s * x + mpmath.log(dcoef * eta) - (eta + 1) * mpmath.log(x) - dcoef * x**-eta
+        def h(u):
+            x = xs * mpmath.exp(u)
+            return -s * x + mpmath.log(dcoef * eta) - eta * mpmath.log(x) - dcoef * x**-eta
 
-        peak = ell(xs)
+        peak = h(0)
         w = 1 / mpmath.sqrt(s * xs + eta**2 * dcoef * xs**-eta)
         pts = [k * w for k in (-40, -20, -10, -5, -2, 0, 2, 5, 10, 20, 40)]
-        integral = mpmath.quad(lambda u: mpmath.exp(ell(xs * mpmath.exp(u)) - peak + u), pts)
-        return float(peak + mpmath.log(xs) + mpmath.log(integral))
+        integral = mpmath.quad(lambda u: mpmath.exp(h(u) - peak), pts)
+        return float(peak + mpmath.log(integral))
 
 
-@pytest.mark.parametrize("eta", [0.5, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("eta", [0.01, 0.5, 1.0, 1.5, 2.0, 3.0])
 def test_laplace_matches_mpmath(eta):
     # for the larger s at eta >= 1.5 (at eta = 3 from s = 1e10 on) the peak is
-    # narrower than QUADPACK's rule in log x: integrated there it returns 0,
-    # whose log is -inf
+    # narrower than QUADPACK's rule in log x.  At eta = 0.01 the law spreads
+    # over hundreds of decades: the peak in log x sits about 450 above the
+    # density's mode at 1e-200, and QUADPACK samples x up to exp(700)
     law = TailLaw(eta, 1.0)
     for s in (1.0, 1e4, 1e8, 1e12, 1e15):
+        got = log_laplace_transform(law, s)
+        assert math.isfinite(got), s
         ref = mpmath_log_laplace(eta, 1.0, s)
-        assert abs(log_laplace_transform(law, s) - ref) <= 1e-12 * abs(ref), s
+        assert abs(got - ref) <= 1e-12 * abs(ref), s
+
+
+@pytest.mark.parametrize("dcoef", [1.0, 0.5])
+def test_laplace_mass_beyond_the_float_range_is_rejected(dcoef):
+    # at eta = 0.001, P(w < exp(-700)) = exp(-dcoef * exp(0.7)) is 0.13 for
+    # dcoef = 1; for dcoef = 0.5 the peak dcoef**(1/eta) is itself below 1e-300
+    with pytest.raises(ArgumentOutOfRange, match="float range"):
+        log_laplace_transform(TailLaw(0.001, dcoef), 1.0)
 
 
 def test_laplace_zero():
@@ -148,10 +162,48 @@ def test_pair_sum_narrow_peak_is_finite(eta, eps):
     assert eps**eta * got == pytest.approx(-(2.0 ** (eta + 1.0)), rel=1e-6)
 
 
-def test_pair_sum_below_the_float_range_is_rejected():
-    # log P = -dcoef * 2**(eta+1) * eps**-eta = -6.4e351 is no float
+@pytest.mark.parametrize("eta, eps", [(5.0, 1e-70), (2.0, 2.3e-154)])
+def test_pair_sum_below_the_float_range_is_rejected(eta, eps):
+    # log P = -dcoef * 2**(eta+1) * eps**-eta is -6.4e351 at eta = 5, eps = 1e-70.
+    # At eta = 2, eps = 2.3e-154 it is -1.5e308, still a float, but the
+    # curvature at the peak, about 1.5 times that, is not
     with pytest.raises(ArgumentOutOfRange, match="below the float range"):
-        log_pair_sum_tail(TailLaw(5.0, 1.0), 1e-70)
+        log_pair_sum_tail(TailLaw(eta, 1.0), eps)
+
+
+def mpmath_log_pair_sum(eta, dcoef, eps):
+    """log P(w1 + w2 <= eps) by mpmath quadrature at 30 digits in z = log(x / (eps - x))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        eta, dcoef, eps = mpmath.mpf(eta), mpmath.mpf(dcoef), mpmath.mpf(eps)
+
+        def h(z):
+            x, y = eps / (1 + mpmath.exp(-z)), eps / (1 + mpmath.exp(z))
+            return (
+                -dcoef * y**-eta + mpmath.log(dcoef * eta) - (eta + 1) * mpmath.log(x)
+                - dcoef * x**-eta + mpmath.log(x * y / eps)
+            )
+
+        zs = mpmath.findroot(lambda z: mpmath.diff(h, z), 0)
+        pts = [zs + k for k in (-1000, -300, -100, -30, -10, -3, -1, 0, 1, 3, 10, 30)]
+        return float(h(zs) + mpmath.log(mpmath.quad(lambda z: mpmath.exp(h(z) - h(zs)), pts)))
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.05])
+def test_pair_sum_small_eta_matches_mpmath(eta):
+    # in x the integrand peaks at the density's mode, 1e-200 at eta = 0.01; in
+    # z it peaks at x/eps = 1.4e-3 with a Laplace width of 25, 11 decades of x
+    got = log_pair_sum_tail(TailLaw(eta, 1.0), 1e-3)
+    ref = mpmath_log_pair_sum(eta, 1.0, 1e-3)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_pair_sum_mass_beyond_the_float_range_is_rejected():
+    # at eta = 0.001, P(w1 < 1e-3 * exp(-699)) / P(w1 < 1e-3) is about 0.36
+    with pytest.raises(ArgumentOutOfRange, match="float range"):
+        log_pair_sum_tail(TailLaw(0.001, 1.0), 1e-3)
+    with pytest.raises(ArgumentOutOfRange, match="float range"):
+        log_pair_sum_tail(TailLaw(1.0, 1.0), 1e-305)
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,8 @@ from rwrc.profiles import (
 from rwrc.rates import joint_rate_J, k_const
 from rwrc.tail_law import TailLaw
 from rwrc.variational import (
-    KAPPAS, MAX_ITER, RESTARTS, SEED, STEP_INIT, TOL, _project, _row_norms, brute_force_L, exponent,
-    objective, solve_L,
+    KAPPAS, MAX_ITER, RESTARTS, SEED, STEP_INIT, TOL, _project, brute_force_L, exponent, objective,
+    solve_L,
 )
 
 
@@ -176,7 +176,7 @@ def reference_project(v):
     return w / nrm
 
 
-def reference_restart_pgd(dom, g, p, kappa):
+def reference_pgd(dom, g, p, kappa):
     def fval(x):
         u = edge_differences(dom, x)
         return float(np.sum((u * u + kappa * kappa) ** (p / 2.0)))
@@ -223,7 +223,7 @@ def reference_solve_L(dom, eta):
     finals = []
     for g in starts:
         for kap in KAPPAS:
-            g, iters, conv = reference_restart_pgd(dom, g, p, kap)
+            g, iters, conv = reference_pgd(dom, g, p, kap)
             total_iter += iters
         converged += conv  # stationary at the last smoothing level
         gp = ProbabilityProfile.normalized(dom, g)
@@ -280,69 +280,6 @@ def test_solver_edge_difference_calls_are_per_step_not_per_restart(monkeypatch, 
     assert 0 < calls <= 3000
 
 
-# The lockstep line search before it tried several halvings per round: each
-# round halved the step of every row still searching once.  Kept verbatim as a
-# reference the batched line search must match bit for bit.
-
-
-def reference_pgd(dom, g, p, kappa):
-    """Projected gradient descent at one smoothing level, on all rows of g in lockstep.
-
-    Each row keeps its own step, objective value and iteration count, and
-    stops on its own: when the line search finds no descent, when a step
-    moves it by less than TOL relative to its norm (both count as
-    converged), or after MAX_ITER steps.  Returns the final rows, the number
-    of gradient steps each row took, and which rows converged.
-    """
-
-    def fval(x):
-        u = edge_differences(dom, x)
-        # summed along contiguous rows, so each row adds up in the order a 1-D sum uses
-        return np.sum(np.ascontiguousarray((u * u + kappa * kappa) ** (p / 2.0)), axis=1)
-
-    def grad(x):
-        u = edge_differences(dom, x)
-        return edge_adjoint(dom, p * u * (u * u + kappa * kappa) ** (p / 2.0 - 1.0))
-
-    g = g.copy()
-    m = g.shape[0]
-    step = np.full(m, STEP_INIT)
-    f = fval(g)
-    iters = np.full(m, MAX_ITER)
-    converged = np.zeros(m, dtype=bool)
-    live = np.arange(m)
-    for it in range(MAX_ITER):
-        if live.size == 0:
-            break
-        x = g[live]
-        gr = grad(x)
-        cand = np.empty_like(x)
-        fc = np.empty(live.size)
-        found = np.zeros(live.size, dtype=bool)
-        # backtracking line search on the rows (positions in live) still without a trial
-        search = np.flatnonzero(step[live] > 1e-16)
-        while search.size:
-            rows = live[search]
-            trial = _project(x[search] - step[rows, None] * gr[search])
-            ft = fval(trial)
-            ok = ft <= f[rows] - 1e-12 * (1.0 + np.abs(f[rows]))
-            cand[search[ok]] = trial[ok]
-            fc[search[ok]] = ft[ok]
-            found[search[ok]] = True
-            step[rows[~ok]] *= 0.5
-            search = search[~ok & (step[rows] > 1e-16)]
-        moving = found.copy()
-        moving[found] = ~(_row_norms(cand[found] - x[found]) <= TOL * (1.0 + _row_norms(x[found])))
-        g[live[found]] = cand[found]  # a row with no descent keeps its point
-        stopped = live[~moving]
-        iters[stopped] = it + 1
-        converged[stopped] = True
-        live = live[moving]
-        f[live] = fc[moving]
-        step[live] = np.minimum(step[live] * 1.5, 1e3)
-    return g, iters, converged
-
-
 PGD_DOMAINS = {
     "box1d:0": box_domain(1, 0),
     "box1d:1": box_domain(1, 1),
@@ -354,12 +291,15 @@ PGD_DOMAINS = {
 
 
 def assert_same_pgd(dom, g, p, kappa):
-    got = variational._pgd(dom, g, p, kappa)
-    want = reference_pgd(dom, g, p, kappa)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert np.array_equal(got[2], want[2])
-    return got[0]
+    # each row of the batched line search must match a one-halving-at-a-time
+    # search on that row alone, bit for bit
+    out, iters, converged = variational._pgd(dom, g, p, kappa)
+    for i, row in enumerate(g):
+        want, want_iters, want_conv = reference_pgd(dom, row, p, kappa)
+        assert np.array_equal(out[i], want)
+        assert iters[i] == want_iters
+        assert converged[i] == want_conv
+    return out
 
 
 @settings(max_examples=3, deadline=None, derandomize=True)
