@@ -63,24 +63,33 @@ def delta_profile(domain: Domain, site_index: int | None = None) -> ProbabilityP
     return ProbabilityProfile(domain, v)
 
 
-# edge_b == -1 marks an exterior endpoint, where every site function is zero; outside
-# the operator assembly in spectral, only these two maps read that convention.
-
-
 def edge_differences(domain: Domain, values) -> np.ndarray:
-    """g(a) - g(b) along every canonical edge, g = 0 outside; sites on the last axis."""
+    """g(a) - g(b) along every canonical edge, g = 0 outside; sites on the last axis.
+
+    One product with the domain's +-1 difference matrix.  Each column has at
+    most two nonzero entries, so each result is g(a) - g(b) rounded once.
+    Values must be finite: 0 * inf would make a nan.  A -0.0 minus +0.0 may
+    come out as +0.0.
+    """
     v = np.asarray(values, dtype=float)
     if v.shape[-1] != domain.n_sites:
         raise DomainMismatch(f"{v.shape[-1]} site values for a domain of {domain.n_sites} sites")
-    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))  # the last slot is read by b = -1
-    padded[..., :-1] = v
-    padded = padded.T  # sites first: plain indexing is cheaper than v[..., i]
-    return (padded[domain.edge_a] - padded[domain.edge_b]).T
+    return v @ domain.difference_matrix
 
 
 def edge_adjoint(domain: Domain, s) -> np.ndarray:
-    """Transpose of edge_differences: s(e) added at a and subtracted at b; edges on the last axis."""
-    out = np.zeros(np.shape(s)[:-1] + (domain.n_sites + 1,))  # the last slot absorbs b = -1
-    np.add.at(out, (..., domain.edge_a), s)
-    np.subtract.at(out, (..., domain.edge_b), s)
-    return out[..., :-1]
+    """Transpose of edge_differences: s(e) added at a and subtracted at b; edges on the last axis.
+
+    Each site sums its incident edges from zero, those it is the first
+    endpoint of in edge order and then the others, as np.add.at over
+    edge_a followed by np.subtract.at over edge_b would.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1] != domain.n_edges:
+        raise DomainMismatch(f"{s.shape[-1]} edge values for a domain of {domain.n_edges} edges")
+    idx, sign = domain.adjoint_slots
+    terms = s[..., idx] * sign
+    out = 0.0 + terms[..., 0, :]
+    for k in range(1, idx.shape[0]):
+        out += terms[..., k, :]
+    return out

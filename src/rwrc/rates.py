@@ -24,6 +24,7 @@ def dv_rate_I(phi: ConductanceField, g: ProbabilityProfile) -> float:
     diffs = edge_differences(g.domain, g.values)
     return float(np.sum(phi.weights * diffs**2))
 
+
 def env_rate_H(phi: ConductanceField, law: TailLaw) -> float:
     """Environment rate: cost of seeing weights as small as phi under the law."""
     return float(law.dcoef * np.sum(phi.weights ** (-law.eta)))

@@ -52,7 +52,9 @@ def objective(g: ProbabilityProfile, eta: float) -> float:
 
 
 def _objective_rows(dom: Domain, gmat: np.ndarray, p: float) -> np.ndarray:
-    return np.sum(np.abs(edge_differences(dom, gmat)) ** p, axis=1)
+    # edges first and contiguous, so each row adds up its edges in edge order
+    u = np.ascontiguousarray(edge_differences(dom, gmat).T)
+    return np.sum(np.abs(u) ** p, axis=0)
 
 
 def _angles_to_profiles(theta: np.ndarray) -> np.ndarray:
@@ -133,10 +135,13 @@ def _project(v: np.ndarray) -> np.ndarray:
 
     A row that clips to zero becomes the uniform profile.
     """
-    w = np.clip(v, 0.0, None)
-    dead = _row_norms(w) <= 0.0
-    w[dead] = 1.0
-    return w / _row_norms(w)[:, None]
+    w = np.maximum(v, 0.0)  # np.clip(v, 0.0, None) without its wrapper
+    nrm = _row_norms(w)
+    dead = nrm <= 0.0
+    if dead.any():
+        w[dead] = 1.0
+        nrm = _row_norms(w)
+    return w / nrm[:, None]
 
 
 def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float):
@@ -151,8 +156,8 @@ def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float):
 
     def fval(x: np.ndarray) -> np.ndarray:
         u = edge_differences(dom, x)
-        # summed along contiguous rows, so each row adds up in the order a 1-D sum uses
-        return np.sum(np.ascontiguousarray((u * u + kappa * kappa) ** (p / 2.0)), axis=1)
+        # u is C-contiguous, so each row adds up in the order a 1-D sum uses
+        return np.sum((u * u + kappa * kappa) ** (p / 2.0), axis=1)
 
     def grad(x: np.ndarray) -> np.ndarray:
         u = edge_differences(dom, x)
@@ -160,52 +165,54 @@ def _pgd(dom: Domain, g: np.ndarray, p: float, kappa: float):
 
     g = g.copy()
     m, n = g.shape
-    step = np.full(m, STEP_INIT)
-    f = fval(g)
     iters = np.full(m, MAX_ITER)
     converged = np.zeros(m, dtype=bool)
-    live = np.arange(m)
+    # the live rows of g, their values and steps: compacted only in a step where a row stops
+    ids = np.arange(m)
+    x = g
+    f = fval(x)
+    step = np.full(m, STEP_INIT)
     for it in range(MAX_ITER):
-        if live.size == 0:
-            break
-        x = g[live]
         gr = grad(x)
-        cand = np.empty_like(x)
-        fc = np.empty(live.size)
-        found = np.zeros(live.size, dtype=bool)
-        # backtracking line search on the rows (positions in live) still without a
-        # trial.  Round r tries the next 2**r halvings of each such row's step at
-        # once and takes the first that descends; step * 0.5**j is exact, so each
-        # row accepts the step that halving once per try would reach.
-        thr = f[live] - 1e-12 * (1.0 + np.abs(f[live]))
-        search = np.flatnonzero(step[live] > 1e-16)
-        k = 1
+        cand = x.copy()  # a row with no descent keeps its point
+        fc = np.empty(ids.size)
+        found = np.zeros(ids.size, dtype=bool)
+        # backtracking line search on the rows still without a trial.  The first
+        # round tries halvings 0-3 of each such row's step at once, the next rounds
+        # the next 8, 16, ..., and each takes the first that descends; step * 0.5**j
+        # is exact, so each row accepts the step that halving once per try would reach.
+        thr = f - 1e-12 * (1.0 + np.abs(f))
+        search = (step > 1e-16).nonzero()[0]
+        k = 4
         while search.size:
-            rows = live[search]
-            steps = step[rows, None] * 0.5 ** np.arange(k)
+            steps = step[search, None] * 0.5 ** np.arange(k)
             trial = _project((x[search, None] - steps[..., None] * gr[search, None]).reshape(-1, n))
             ft = fval(trial).reshape(steps.shape)
             ok = (ft <= thr[search, None]) & (steps > 1e-16)
             hit = ok.any(axis=1)
             # flat index of the first descending trial of each row that has one
-            pick = np.flatnonzero(hit) * k + np.argmax(ok[hit], axis=1)
+            pick = hit.nonzero()[0] * k + ok[hit].argmax(axis=1)
             done = search[hit]
             cand[done] = trial[pick]
             fc[done] = ft.ravel()[pick]
             found[done] = True
-            step[rows[hit]] = steps.ravel()[pick]
-            step[rows[~hit]] *= 0.5**k
-            search = search[~hit & (step[rows] > 1e-16)]
+            step[done] = steps.ravel()[pick]
+            search = search[~hit]
+            step[search] *= 0.5**k
+            search = search[step[search] > 1e-16]
             k *= 2
-        moving = found.copy()
-        moving[found] = ~(_row_norms(cand[found] - x[found]) <= TOL * (1.0 + _row_norms(x[found])))
-        g[live[found]] = cand[found]  # a row with no descent keeps its point
-        stopped = live[~moving]
-        iters[stopped] = it + 1
-        converged[stopped] = True
-        live = live[moving]
-        f[live] = fc[moving]
-        step[live] = np.minimum(step[live] * 1.5, 1e3)
+        moving = found & ~(_row_norms(cand - x) <= TOL * (1.0 + _row_norms(x)))
+        if not moving.all():
+            stopped = ids[~moving]
+            g[stopped] = cand[~moving]
+            iters[stopped] = it + 1
+            converged[stopped] = True
+            ids, cand, fc, step = ids[moving], cand[moving], fc[moving], step[moving]
+            if ids.size == 0:
+                return g, iters, converged
+        x, f = cand, fc
+        step = np.minimum(step * 1.5, 1e3)
+    g[ids] = x
     return g, iters, converged
 
 

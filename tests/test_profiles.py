@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import DomainMismatch, InvalidProfile
@@ -105,3 +108,65 @@ def test_edge_adjoint_stacked_rows(dom):
     for i in range(3):
         for j in range(4):
             assert np.array_equal(sums[i, j], edge_adjoint(dom, stack[i, j]))
+
+
+# The edge maps before the difference matrix and the slot tables: a padded
+# gather and np.add.at.  Kept as a reference the new maps must match bit for bit.
+
+
+def reference_edge_differences(domain, values):
+    v = np.asarray(values, dtype=float)
+    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))  # the last slot is read by b = -1
+    padded[..., :-1] = v
+    padded = padded.T
+    return (padded[domain.edge_a] - padded[domain.edge_b]).T
+
+
+def reference_edge_adjoint(domain, s):
+    out = np.zeros(np.shape(s)[:-1] + (domain.n_sites + 1,))  # the last slot absorbs b = -1
+    np.add.at(out, (..., domain.edge_a), s)
+    np.subtract.at(out, (..., domain.edge_b), s)
+    return out[..., :-1]
+
+
+EDGE_MAP_DOMAINS = {
+    "box1d:2": box_domain(1, 2),
+    "box2d:1": box_domain(2, 1),
+    "box3d:1": box_domain(3, 1),  # six slots per site
+    "sites": build_domain([[0, 0], [1, 0], [1, 1], [2, 1], [0, -1], [-1, -1]], 2),
+}
+
+# finite values far enough from the float range that no sum of six overflows
+FINITE = st.floats(min_value=-1e150, max_value=1e150)
+
+
+def stacked(draw, last):
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))  # 1-D, 2-D and 3-D inputs
+    return draw(arrays(np.float64, lead + (last,), elements=FINITE))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("name", list(EDGE_MAP_DOMAINS))
+def test_edge_maps_match_gather_and_add_at_bit_for_bit(name, data):
+    dom = EDGE_MAP_DOMAINS[name]
+    v = stacked(data.draw, dom.n_sites)
+    want = reference_edge_differences(dom, v)
+    assert np.array_equal(edge_differences(dom, v), want)
+    # bit for bit once -0.0 entries read as +0.0: the product may give +0.0
+    # where g(a) = -0.0 minus g(b) = +0.0 gave -0.0
+    v0 = v + 0.0
+    assert edge_differences(dom, v0).tobytes() == reference_edge_differences(dom, v0).tobytes()
+    s = stacked(data.draw, dom.n_edges)
+    got = edge_adjoint(dom, s)
+    assert got.shape == s.shape[:-1] + (dom.n_sites,)
+    assert got.tobytes() == reference_edge_adjoint(dom, s).tobytes()
+
+
+def test_edge_adjoint_rejects_wrong_length():
+    dom = box_domain(1, 1)
+    for m in (3, 5):
+        with pytest.raises(DomainMismatch):
+            edge_adjoint(dom, np.ones(m))
+        with pytest.raises(DomainMismatch):
+            edge_adjoint(dom, np.ones((4, m)))
