@@ -44,6 +44,20 @@ print("\n4-site minimizers at eta=1, value", round(res.value, 9))
 for m in res.minimizers:
     print("  ", np.round(m, 4))
 
+# growing boxes: L(B_R) should scale like R**(d - p*(1 + d/2)), which is
+# R**-1 in d = 1 at eta = 2 (p = 4/3); the local log-log slopes approach it
+# from above as R grows
+eta, d = 2.0, 1
+p = 2 * eta / (1 + eta)
+print(f"\nL(box1d:R) at eta={eta:g}; predicted exponent {d - p * (1 + d / 2):.4f}")
+print("   R   L(B_R)       slope")
+prev = None
+for r in range(2, 17):
+    val = solve_L(box_domain(d, r), eta).value
+    slope = "" if prev is None else f"{np.log(val / prev[1]) / np.log(r / prev[0]):.4f}"
+    print(f"  {r:>2}   {val:.8f}   {slope}")
+    prev = (r, val)
+
 # decay constants for the walk itself
 law = TailLaw(1.0, 1.0)
 print("\nK_{1,1} =", k_const(law))

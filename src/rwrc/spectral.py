@@ -55,12 +55,17 @@ def assemble(f: ConductanceField, dom: Domain) -> DirichletOperator:
     return DirichletOperator(dom, a)
 
 
-def eigen(op: DirichletOperator) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver."""
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's symmetric eigensolver on one matrix or a stack; a failure raises NonConvergence."""
     try:
-        lam, vec = np.linalg.eigh(op.matrix)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"LAPACK eigensolver failed: {exc}") from exc
+
+
+def eigen(op: DirichletOperator) -> SpectralDecomposition:
+    """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver."""
+    lam, vec = eigh(op.matrix)
     return SpectralDecomposition(lam, vec)
 
 

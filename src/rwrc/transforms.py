@@ -57,27 +57,31 @@ def log_laplace_transform(law: TailLaw, s: float) -> float:
 
     # peak of the integrand in u = log x, -s*x + log_density(x) + u: there
     # dcoef*eta - eta*x**eta - s*x**(eta+1) = 0, strictly decreasing in x with a
-    # single positive root below its root at s = 0, dcoef**(1/eta)
-    def gfun(x: float) -> float:
-        return dcoef * eta - eta * x**eta - s * x ** (eta + 1.0)
+    # single positive root below its root at s = 0, dcoef**(1/eta).  The root is
+    # found in y = log x, so its tolerance is relative in x: an absolute one
+    # misplaces a peak at x of 1e-11 or less by many of its widths
+    log_s = math.log(s)
+
+    def gfun(y: float) -> float:
+        return dcoef * eta - eta * math.exp(eta * y) - math.exp(log_s + (eta + 1.0) * y)
 
     log_top = math.log(dcoef) / eta
     if abs(log_top) > 690.0:
         raise ArgumentOutOfRange(
             f"the Laplace peak dcoef**(1/eta) = exp({log_top:.4g}) is beyond the float range"
         )
-    hi = lo = math.exp(log_top)
+    hi = lo = log_top
     while gfun(hi) >= 0.0:
         # rounding can leave gfun(hi) at or above 0 when s * hi**(eta+1) is tiny
-        hi *= 2.0
-        if hi > 1e300:
+        hi += math.log(2.0)
+        if hi > 690.0:
             raise ArgumentOutOfRange("failed to bracket the Laplace peak")
     while gfun(lo) <= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
+        lo -= math.log(2.0)
+        if lo < -690.0:
             raise ArgumentOutOfRange("failed to bracket the Laplace peak")
-    xstar = optimize.brentq(gfun, lo, hi, rtol=1e-14)
-    log_xstar = math.log(xstar)
+    log_xstar = optimize.brentq(gfun, lo, hi, xtol=1e-15, rtol=4.0 * 2.0**-52)
+    xstar = math.exp(log_xstar)
 
     def h(u: float) -> float:
         # u = log(x / xstar); dx = x du

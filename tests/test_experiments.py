@@ -524,12 +524,31 @@ def test_cli_bad_time_exits_1(tmp_path, capsys, args, config):
 
 def test_cli_nonexit_is_degenerate_integrand_exits_2(tmp_path, capsys):
     # the proposal weights pass their ESS gate, but the non-exit probabilities
-    # put almost all the mass on one or two fields; the log estimate would be
-    # -26.62, against -4.717 +- 0.018 from plain Monte Carlo
-    args = ["nonexit", "--method", "is", "--domain", "box1d:1", "--t", 10, "--trials", 1000]
+    # put almost all the mass on a few fields
+    args = ["nonexit", "--method", "is", "--domain", "box2d:1", "--t", 10, "--trials", 1000]
     assert run(args + ["--seed", 1, "--out", tmp_path / "is.csv"]) == 2
-    assert "integrand effective sample size 1.52" in capsys.readouterr().err
+    assert "integrand effective sample size 4.94" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_nonexit_is_agrees_with_plain_mc_or_exits_2(tmp_path):
+    # with interior increments of 3.5e-7 in g* instead of 0, the tilt put those
+    # edges at about 1e6 and seeds 4 and 6 exited 0 at 147 and 74 SE from plain MC
+    mc = annealed_nonexit_mc(
+        make_config(domain={"type": "box", "d": 1, "half_width": 1}, times=[10.0],
+                    trials=20_000, seed=11)
+    )[0]
+    args = ["nonexit", "--method", "is", "--domain", "box1d:1", "--t", 10, "--trials", 1000]
+    for seed in range(1, 9):
+        out = tmp_path / f"is{seed}.csv"
+        code = run(args + ["--seed", seed, "--out", out])
+        if code == 2:
+            continue
+        assert code == 0
+        _, rows = read_csv(out)
+        est, se, log_est = (float(v) for v in rows[0][1:4])
+        combined = math.hypot(se / est, mc.se / mc.estimate)
+        assert abs(log_est - mc.log_estimate) <= 3.0 * combined, seed
 
 
 # Each peak below is narrower than QUADPACK's rule in the variable it used
