@@ -69,25 +69,13 @@ class Domain:
         return tuple(int(c) for c in self.sites[i])
 
     @cached_property
-    def adjoint_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(2d, n) edge index and sign of each site's incident edges, slot by slot.
-
-        A site's slots hold the edges it is the first endpoint of (sign +1),
-        then those it is the second endpoint of (sign -1), each in edge order.
-        """
-        is_b = self.edge_a[self.site_edges] != np.arange(self.n_sites)[:, None]
-        order = np.lexsort((self.site_edges, is_b), axis=-1)
-        idx = np.take_along_axis(self.site_edges, order, axis=1).T.copy()
-        sign = np.where(np.take_along_axis(is_b, order, axis=1), -1.0, 1.0).T.copy()
-        idx.flags.writeable = sign.flags.writeable = False
-        return idx, sign
-
-    @cached_property
     def difference_matrix(self) -> np.ndarray:
         """(n, m) matrix of g -> g(a) - g(b): +1 at (a, e), -1 at (b, e) for interior b."""
-        idx, sign = self.adjoint_slots
+        e = np.arange(self.n_edges)
+        inside = self.edge_b >= 0
         mat = np.zeros((self.n_sites, self.n_edges))
-        mat[np.arange(self.n_sites), idx] = sign
+        mat[self.edge_a, e] = 1.0
+        mat[self.edge_b[inside], e[inside]] = -1.0
         mat.flags.writeable = False
         return mat
 

@@ -114,14 +114,12 @@ def _number_list(value, key: str) -> list:
 
 
 def _trial_count(value, key: str) -> int:
-    """A trial count read from a config: an integer of at least 1."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ArgumentOutOfRange(f"{key} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ArgumentOutOfRange(f"{key} must be at least 1, got {n}")
-    return n
+    """A trial count read from a config: an integral number (not a bool) of at least 1."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ArgumentOutOfRange(f"{key} must be an integer, got {value!r}")
+    return require_trials(int(value), 1)
 
 
 def _parse_grid(text: str, flag: str) -> list:

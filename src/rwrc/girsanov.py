@@ -25,8 +25,7 @@ from .errors import (
     require_time,
     require_trials,
 )
-from .profiles import edge_adjoint, edge_differences
-from .spectral import semigroup_nonexit
+from .spectral import assemble, semigroup_nonexit
 from .walk import PathRecord, _walk_tables, simulate
 
 
@@ -176,8 +175,8 @@ def feynman_kac_upper_bound(
         raise DomainMismatch("test function length does not match the domain")
     if not np.all(np.isfinite(f)) or np.any(f <= 0):
         raise NonPositiveArgument("test function must be strictly positive on the domain")
-    # (Lf/f) with the generator L = -D^T W D, f extended by zero outside the domain
-    coeff = -edge_adjoint(dom, phi.weights * edge_differences(dom, f)) / f
+    # (Lf/f) with the generator L = -M diag(w) M^T, f extended by zero outside the domain
+    coeff = -(assemble(phi, dom).matrix @ f) / f
 
     if isinstance(target_set, PointSet):
         h = np.asarray(target_set.point, dtype=float)

@@ -75,21 +75,3 @@ def edge_differences(domain: Domain, values) -> np.ndarray:
     if v.shape[-1] != domain.n_sites:
         raise DomainMismatch(f"{v.shape[-1]} site values for a domain of {domain.n_sites} sites")
     return v @ domain.difference_matrix
-
-
-def edge_adjoint(domain: Domain, s) -> np.ndarray:
-    """Transpose of edge_differences: s(e) added at a and subtracted at b; edges on the last axis.
-
-    Each site sums its incident edges from zero, those it is the first
-    endpoint of in edge order and then the others, as np.add.at over
-    edge_a followed by np.subtract.at over edge_b would.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.shape[-1] != domain.n_edges:
-        raise DomainMismatch(f"{s.shape[-1]} edge values for a domain of {domain.n_edges} edges")
-    idx, sign = domain.adjoint_slots
-    terms = s[..., idx] * sign
-    out = 0.0 + terms[..., 0, :]
-    for k in range(1, idx.shape[0]):
-        out += terms[..., k, :]
-    return out

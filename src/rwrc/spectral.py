@@ -1,6 +1,7 @@
 """Dirichlet operator of the killed walk: assembly, spectrum, exact non-exit.
 
-The operator acts on functions vanishing outside the domain; its diagonal is
+The operator is the weighted Dirichlet form M diag(w) M^T, M the domain's +-1
+difference matrix, on functions vanishing outside the domain: its diagonal is
 the full incident weight of each site (boundary edges included) and its
 off-diagonal entries are minus the interior edge weights.  Killing at the
 boundary makes it symmetric positive definite, so the non-exit probability is
@@ -9,12 +10,11 @@ an explicit eigenvalue sum.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conductance import ConductanceField, require_same_domain, sample_field, site_totals
+from .conductance import ConductanceField, require_same_domain, sample_field
 from .domain import Domain
 from .errors import (
     ArgumentOutOfRange,
@@ -25,8 +25,6 @@ from .errors import (
 )
 from .tail_law import TailLaw
 from .transforms import log_pair_sum_tail
-
-logger = logging.getLogger(__name__)
 
 _CLAMP_TOL = 1e-10
 
@@ -43,16 +41,15 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray     # orthonormal columns, matching order
 
 
+def dirichlet_matrix(dom: Domain, w: np.ndarray) -> np.ndarray:
+    """M diag(w) M^T, M = dom.difference_matrix, edges on w's last axis; a stack gives a stack."""
+    mat = dom.difference_matrix
+    return (mat * w[..., None, :]) @ mat.T
+
+
 def assemble(f: ConductanceField, dom: Domain) -> DirichletOperator:
     require_same_domain(f, dom)
-    n = dom.n_sites
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, site_totals(f))
-    inside = dom.edge_b >= 0
-    ia, ib, w = dom.edge_a[inside], dom.edge_b[inside], f.weights[inside]
-    a[ia, ib] = -w
-    a[ib, ia] = -w
-    return DirichletOperator(dom, a)
+    return DirichletOperator(dom, dirichlet_matrix(dom, f.weights))
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,17 +61,28 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigen(op: DirichletOperator) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver."""
+    """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver.
+
+    The operator is positive definite, so a principal eigenvalue at or below
+    zero is rounding error swamping the spectrum (weights spanning some 20
+    decades) and raises NonConvergence.
+    """
     lam, vec = eigh(op.matrix)
+    if not lam[0] > 0.0:
+        raise NonConvergence(
+            f"principal eigenvalue {lam[0]!r} of a positive definite operator; "
+            "the weights span too many decades for the eigensolver"
+        )
     return SpectralDecomposition(lam, vec)
 
 
 def _nonexit_from_decomposition(dec: SpectralDecomposition, start: int, t: float) -> float:
+    """The eigenvalue sum, clipped to [0, 1]; a sum further out, or nan, raises NonConvergence."""
     weights = dec.eigenvectors[start, :] * dec.eigenvectors.sum(axis=0)
     val = float(np.sum(np.exp(-t * dec.eigenvalues) * weights))
-    if val < -_CLAMP_TOL or val > 1.0 + _CLAMP_TOL:
-        logger.warning("non-exit probability %r clamped to [0, 1]", val)
-    return float(np.clip(val, 0.0, 1.0))
+    if not -_CLAMP_TOL <= val <= 1.0 + _CLAMP_TOL:
+        raise NonConvergence(f"non-exit probability {val!r} lies outside [0, 1]")
+    return min(max(val, 0.0), 1.0)
 
 
 def semigroup_nonexit(f: ConductanceField, dom: Domain, t: float) -> float:

@@ -85,4 +85,11 @@ def sample(law: TailLaw, rng: np.random.Generator, shape) -> np.ndarray:
     u = rng.random(shape)
     # rng.random can return exactly 0, which the quantile rejects
     u = np.where(u > 0.0, u, np.nextafter(0.0, 1.0))
-    return np.asarray(quantile(law, u), dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.asarray(quantile(law, u), dtype=float)
+    if out.size and not (out.min() > 0.0 and out.max() < math.inf):
+        raise ArgumentOutOfRange(
+            f"a draw of the law (eta={law.eta:g}, dcoef={law.dcoef:g}) is 0 or inf: "
+            "its mass reaches past the float range"
+        )
+    return out

@@ -20,7 +20,7 @@ import numpy as np
 from .domain import Domain
 from .errors import DomainTooLarge, NonConvergence, NonPositiveArgument
 from .profiles import ProbabilityProfile, edge_differences, uniform_profile
-from .spectral import eigh
+from .spectral import dirichlet_matrix, eigh
 
 RESTARTS = 32          # the uniform profile, one delta per site, then seeded random starts
 SEED = 7
@@ -155,7 +155,7 @@ def _reweighted(dom: Domain, g: np.ndarray, p: float) -> tuple[np.ndarray, int, 
         f = _smoothed_rows(u, p, kap)
         for _ in range(MAX_ITER):
             w = (u * u + kap * kap) ** (p / 2.0 - 1.0)
-            vec = eigh((mat * w[:, None, :]) @ mat.T)[1][:, :, 0]
+            vec = eigh(dirichlet_matrix(dom, w))[1][:, :, 0]
             g[live] = np.abs(vec)
             steps += live.size
             u = g[live] @ mat

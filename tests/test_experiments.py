@@ -491,6 +491,8 @@ BAD_TRIALS = [
     (["ldp-check"], {"inner_trials": 0, "seed": 1}),
     (["ldp-check"], {"trials": 1, "seed": 1}),
     (["nonexit"], {"trials": "many"}),
+    (["nonexit"], {"trials": 10.5}),
+    (["nonexit"], {"trials": True}),
 ]
 
 
@@ -592,18 +594,40 @@ def test_cli_small_eta_quadrature_is_finite(tmp_path, args, column):
     assert all(math.isfinite(float(row[column])) for row in rows)
 
 
-# beyond the float range: s = t**((1+eta)/eta) at eta = 0.5, t = 1e200, and
-# the law's mass below exp(-700) at eta = 0.001
+# beyond the float range: s = t**((1+eta)/eta) at eta = 0.5, t = 1e200, the
+# law's mass below exp(-700) at eta = 0.001, and draws past 1.8e308 at eta = 0.01
 BEYOND_FLOATS = [
     ["tauberian", "--eta", 0.5, "--times", "1e200"],
     ["tauberian", "--eta", 0.001, "--times", "1"],
     ["eigen-tail", "--eta", 0.001, "--eps", "1e-3"],
+    ["nonexit", "--method", "mc", "--eta", 0.01, "--domain", "box2d:1", "--t", 10,
+     "--trials", 40, "--seed", 1],
 ]
 
 
 @pytest.mark.parametrize("args", BEYOND_FLOATS, ids=[" ".join(map(str, a)) for a in BEYOND_FLOATS])
 def test_cli_beyond_the_float_range_exits_1(tmp_path, capsys, args):
     assert_invalid_input_without_output(tmp_path, capsys, args, None)
+
+
+# at small eta one field's weights span 20 decades or more, and LAPACK gives a
+# principal eigenvalue <= 0 for some fields: a nan estimate, a -inf rescaled
+# value and a tail probability of 0.191 used to exit 0
+SMALL_ETA_MC = [
+    ["nonexit", "--method", "mc", "--eta", 0.1, "--domain", "box2d:1", "--t", 10,
+     "--trials", 200, "--seed", 1],
+    ["nonexit", "--method", "mc", "--eta", 0.05, "--domain", "box2d:1", "--t", 10,
+     "--trials", 40, "--seed", 1],
+    ["eigen-tail", "--method", "mc", "--eta", 0.1, "--domain", "box2d:1", "--eps", "0.5,0.01",
+     "--fields", 2000, "--seed", 1],
+]
+
+
+@pytest.mark.parametrize("args", SMALL_ETA_MC, ids=[" ".join(map(str, a[:5])) for a in SMALL_ETA_MC])
+def test_cli_small_eta_monte_carlo_exits_2(tmp_path, capsys, args):
+    assert run(args + ["--out", tmp_path / "mc.csv"]) == 2
+    assert "rwrc: numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_quadrature_without_a_positive_value_exits_2(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,6 @@ from rwrc.errors import DomainMismatch, InvalidProfile
 from rwrc.profiles import (
     ProbabilityProfile,
     delta_profile,
-    edge_adjoint,
     edge_differences,
     uniform_profile,
 )
@@ -76,17 +75,15 @@ def test_edge_differences_rejects_wrong_length():
 @pytest.mark.parametrize(
     "dom", [box_domain(1, 0), build_domain([[0], [1]], 1), box_domain(1, 2), box_domain(2, 1)]
 )
-def test_edge_adjoint_is_transpose(dom):
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        g = rng.normal(size=dom.n_sites)
-        s = rng.normal(size=dom.n_edges)
-        lhs = s @ edge_differences(dom, g)
-        assert lhs == pytest.approx(edge_adjoint(dom, s) @ g, abs=1e-12 * (1.0 + abs(lhs)))
+def test_edge_differences_matrix_is_plus_minus_one(dom):
     # the matrix of edge_differences has +1 at a and -1 at an interior b
     mat = np.stack([edge_differences(dom, e) for e in np.eye(dom.n_sites)], axis=1)
     assert set(np.unique(mat)) <= {-1.0, 0.0, 1.0}
-    assert np.array_equal(np.stack([edge_adjoint(dom, e) for e in np.eye(dom.n_edges)], axis=1), mat.T)
+    for e, (a, b) in enumerate(zip(dom.edge_a, dom.edge_b)):
+        assert mat[e, a] == 1.0
+        assert np.count_nonzero(mat[e]) == (2 if b >= 0 else 1)
+        if b >= 0:
+            assert mat[e, b] == -1.0
 
 
 def test_edge_differences_stacked_rows():
@@ -99,19 +96,8 @@ def test_edge_differences_stacked_rows():
             assert np.array_equal(rows[i, j], edge_differences(dom, stack[i, j]))
 
 
-@pytest.mark.parametrize("dom", [box_domain(1, 1), box_domain(2, 1)])
-def test_edge_adjoint_stacked_rows(dom):
-    # the lockstep solver relies on a stack giving each row's bits exactly
-    stack = np.random.default_rng(6).normal(size=(3, 4, dom.n_edges))
-    sums = edge_adjoint(dom, stack)
-    assert sums.shape == (3, 4, dom.n_sites)
-    for i in range(3):
-        for j in range(4):
-            assert np.array_equal(sums[i, j], edge_adjoint(dom, stack[i, j]))
-
-
-# The edge maps before the difference matrix and the slot tables: a padded
-# gather and np.add.at.  Kept as a reference the new maps must match bit for bit.
+# The edge map before the difference matrix: a padded gather.  Kept as a
+# reference the product must match bit for bit.
 
 
 def reference_edge_differences(domain, values):
@@ -122,21 +108,14 @@ def reference_edge_differences(domain, values):
     return (padded[domain.edge_a] - padded[domain.edge_b]).T
 
 
-def reference_edge_adjoint(domain, s):
-    out = np.zeros(np.shape(s)[:-1] + (domain.n_sites + 1,))  # the last slot absorbs b = -1
-    np.add.at(out, (..., domain.edge_a), s)
-    np.subtract.at(out, (..., domain.edge_b), s)
-    return out[..., :-1]
-
-
 EDGE_MAP_DOMAINS = {
     "box1d:2": box_domain(1, 2),
     "box2d:1": box_domain(2, 1),
-    "box3d:1": box_domain(3, 1),  # six slots per site
+    "box3d:1": box_domain(3, 1),  # six edges per site
     "sites": build_domain([[0, 0], [1, 0], [1, 1], [2, 1], [0, -1], [-1, -1]], 2),
 }
 
-# finite values far enough from the float range that no sum of six overflows
+# finite values far enough from the float range that no difference overflows
 FINITE = st.floats(min_value=-1e150, max_value=1e150)
 
 
@@ -157,16 +136,3 @@ def test_edge_maps_match_gather_and_add_at_bit_for_bit(name, data):
     # where g(a) = -0.0 minus g(b) = +0.0 gave -0.0
     v0 = v + 0.0
     assert edge_differences(dom, v0).tobytes() == reference_edge_differences(dom, v0).tobytes()
-    s = stacked(data.draw, dom.n_edges)
-    got = edge_adjoint(dom, s)
-    assert got.shape == s.shape[:-1] + (dom.n_sites,)
-    assert got.tobytes() == reference_edge_adjoint(dom, s).tobytes()
-
-
-def test_edge_adjoint_rejects_wrong_length():
-    dom = box_domain(1, 1)
-    for m in (3, 5):
-        with pytest.raises(DomainMismatch):
-            edge_adjoint(dom, np.ones(m))
-        with pytest.raises(DomainMismatch):
-            edge_adjoint(dom, np.ones((4, m)))

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwrc.conductance import ConductanceField, sample_field, site_totals
+from rwrc.conductance import ConductanceField, sample_field
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import DomainMismatch, UnsupportedDomain
 from rwrc.profiles import ProbabilityProfile
 from rwrc.rates import dv_rate_I
 from rwrc.spectral import (
     assemble,
+    dirichlet_matrix,
     eigen,
     eigen_tail,
     sandwich_check,
     semigroup_nonexit,
 )
-from rwrc.tail_law import TailLaw, cdf
+from rwrc.tail_law import TailLaw, cdf, sample
 from rwrc.transforms import log_pair_sum_tail
 from rwrc.variational import solve_L
 from rwrc.walk import nonexit_mc
@@ -58,6 +59,46 @@ def test_quadratic_form_is_dirichlet_rate():
             assert quad == pytest.approx(dv_rate_I(f, g), rel=1e-12, abs=1e-12)
 
 
+def reference_dirichlet_matrix(dom, w):
+    # the operator scattered edge by edge: w at both diagonal ends, -w off it
+    a = np.zeros((dom.n_sites, dom.n_sites))
+    for e, (i, j) in enumerate(zip(dom.edge_a, dom.edge_b)):
+        a[i, i] += w[e]
+        if j >= 0:
+            a[j, j] += w[e]
+            a[i, j] = a[j, i] = -w[e]
+    return a
+
+
+# bit for bit where the product sums each diagonal in edge order; within
+# 1e-15 relative where BLAS adds a site's incident weights in another order
+DIRICHLET_DOMAINS = [
+    ("box2d:1", box_domain(2, 1), 0.0),
+    ("chain2", build_domain([[0], [1]], 1), 0.0),
+    ("box2d:2", box_domain(2, 2), 1e-15),
+    ("box3d:1", box_domain(3, 1), 1e-15),
+]
+
+
+@pytest.mark.parametrize(
+    "dom,rel", [c[1:] for c in DIRICHLET_DOMAINS], ids=[c[0] for c in DIRICHLET_DOMAINS]
+)
+def test_dirichlet_matrix_matches_scatter_reference(dom, rel):
+    rng = np.random.default_rng(12)
+    for eta in (0.5, 1.0, 2.0):
+        w = sample(TailLaw(eta, 1.0), rng, (20, dom.n_edges))
+        stack = dirichlet_matrix(dom, w)
+        assert stack.shape == (20, dom.n_sites, dom.n_sites)
+        for row, got in zip(w, stack):
+            # a stack gives each row's matrix bit for bit
+            assert dirichlet_matrix(dom, row).tobytes() == got.tobytes()
+            want = reference_dirichlet_matrix(dom, row)
+            if rel == 0.0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
 def test_eigen_1x1():
     dom = box_domain(1, 0)
     dec = eigen(assemble(ConductanceField(dom, np.array([1.5, 2.5])), dom))
@@ -72,14 +113,6 @@ def test_eigen_2x2_hand_values():
     assert np.allclose(dec.eigenvalues, [1.0, 3.0], rtol=1e-12)
 
 
-def _assemble_by_edge_loop(f, dom):
-    a = np.diag(site_totals(f))
-    for ia, ib, w in zip(dom.edge_a, dom.edge_b, f.weights):
-        if ib >= 0:
-            a[ia, ib] = a[ib, ia] = -w
-    return a
-
-
 def test_eigen_decomposition_invariants():
     law = TailLaw(1.0, 1.0)
     rng = np.random.default_rng(9)
@@ -88,7 +121,7 @@ def test_eigen_decomposition_invariants():
             f = sample_field(law, dom, rng)
             op = assemble(f, dom)
             a = op.matrix
-            assert np.array_equal(a, _assemble_by_edge_loop(f, dom))
+            assert np.array_equal(a, reference_dirichlet_matrix(dom, f.weights))
             dec = eigen(op)
             lam, v = dec.eigenvalues, dec.eigenvectors
             scale = np.linalg.norm(a)

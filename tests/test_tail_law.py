@@ -90,6 +90,14 @@ def test_sample_ks():
     assert res.pvalue > 0.01
 
 
+def test_sample_beyond_the_float_range_raises():
+    # at eta = 0.01 a uniform within 8.3e-4 of 1 gives a draw past 1.8e308
+    law = TailLaw(0.01, 1.0)
+    with pytest.raises(ArgumentOutOfRange, match="float range"):
+        sample(law, np.random.default_rng(1), 10_000)
+    assert np.all(np.isfinite(sample(TailLaw(0.05, 1.0), np.random.default_rng(1), 10_000)))
+
+
 def test_argument_errors():
     law = TailLaw(1.0, 1.0)
     with pytest.raises(NonPositiveArgument):

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from rwrc.errors import ArgumentOutOfRange, NonConvergence, NonPositiveArgument
+from rwrc.rates import k_const
 from rwrc.tail_law import TailLaw, cdf, log_density, sample
 from rwrc.transforms import log_laplace_transform, log_pair_sum_tail
 
@@ -65,6 +66,21 @@ def test_laplace_matches_mpmath(eta):
         assert math.isfinite(got), s
         ref = mpmath_log_laplace(eta, 1.0, s)
         assert abs(got - ref) <= 1e-12 * abs(ref), s
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+def test_laplace_approaches_its_asymptote_up_to_the_float_range(eta):
+    # l(s) / (-K * s**(eta/(1+eta))) tends to 1, monotonely, at every decade of
+    # s from 1e10 to 1e308; at eta = 0.5 it is still 1.06e-3 short at s = 1e10
+    law = TailLaw(eta, 1.0)
+    k = k_const(law)
+    gaps = []
+    for e in range(10, 309):
+        s = 10.0**e
+        ratio = log_laplace_transform(law, s) / (-k * s ** (eta / (1.0 + eta)))
+        gaps.append(abs(ratio - 1.0))
+    assert max(gaps) <= 1.1e-3
+    assert np.all(np.diff(gaps) <= 1e-13)
 
 
 @pytest.mark.parametrize("dcoef", [1.0, 0.5])
