@@ -66,23 +66,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        spec = doc.get("law", {})
-        law = TailLaw(float(spec.get("eta", 1.0)), float(spec.get("D", 1.0)))
+        spec = _mapping(doc.get("law", {}), "law")
+        law = TailLaw(_real(spec.get("eta", 1.0), "eta"), _real(spec.get("D", 1.0), "D"))
         times = [require_time(t) for t in _number_list(doc.get("times", [1.0]), "times")]
         if not times:
             raise ArgumentOutOfRange("the time grid is empty")
         deltas = sorted(_number_list(doc.get("deltas", [0.4, 0.2]), "deltas"), reverse=True)
-        seed = doc.get("seed")
+        seed, out = doc.get("seed"), doc.get("out")
+        if not (out is None or isinstance(out, str)):
+            raise ArgumentOutOfRange(f"out must be a path, got {out!r}")
+        domain = _mapping(doc.get("domain", {"type": "box", "d": 1, "half_width": 0}), "domain")
         return cls(
-            domain=dict(doc.get("domain", {"type": "box", "d": 1, "half_width": 0})),
+            domain=dict(domain),
             eta=law.eta,
             dcoef=law.dcoef,
             times=times,
-            trials=_trial_count(doc.get("trials", 10000), "trials"),
-            inner_trials=_trial_count(doc.get("inner_trials", 200), "inner_trials"),
+            trials=_integer(doc.get("trials", 10000), "trials", 1),
+            inner_trials=_integer(doc.get("inner_trials", 200), "inner_trials", 1),
             deltas=deltas,
-            seed=None if seed is None else int(seed),
-            out=doc.get("out"),
+            seed=None if seed is None else _integer(seed, "seed", 0),
+            out=out,
         )
 
     def to_dict(self) -> dict:
@@ -106,20 +109,34 @@ class ExperimentConfig:
 
 def _number_list(value, key: str) -> list:
     """A grid read from a config: a list of real numbers, returned as floats."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, (list, tuple)):
         raise ArgumentOutOfRange(f"{key} must be a list of numbers, got {value!r}")
-    return [float(x) for x in value]
+    return [_real(x, f"{key}[{i}]") for i, x in enumerate(value)]
 
 
-def _trial_count(value, key: str) -> int:
-    """A trial count read from a config: an integral number (not a bool) of at least 1."""
+def _real(value, key: str) -> float:
+    """A real number read from a config (not a bool), returned as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ArgumentOutOfRange(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str, least: int) -> int:
+    """An integral number (not a bool) of at least ``least`` read from a config."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
         raise ArgumentOutOfRange(f"{key} must be an integer, got {value!r}")
-    return require_trials(int(value), 1)
+    if value < least:
+        raise ArgumentOutOfRange(f"{key} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _mapping(value, key: str) -> dict:
+    """A section read from a config: a JSON object."""
+    if not isinstance(value, dict):
+        raise ArgumentOutOfRange(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _parse_grid(text: str, flag: str) -> list:
@@ -133,9 +150,11 @@ def _parse_grid(text: str, flag: str) -> list:
 def domain_from_spec(spec: dict) -> Domain:
     kind = spec.get("type", "box")
     if kind == "box":
-        return box_domain(int(spec.get("d", 1)), int(spec.get("half_width", 0)))
+        return box_domain(
+            _integer(spec.get("d", 1), "d", 1), _integer(spec.get("half_width", 0), "half_width", 0)
+        )
     if kind == "sites":
-        return build_domain(spec["sites"], int(spec["d"]))
+        return build_domain(spec["sites"], _integer(spec["d"], "d", 1))
     raise UnsupportedDomain(f"unknown domain type {kind!r}")
 
 

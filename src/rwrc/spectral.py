@@ -22,6 +22,7 @@ from .errors import (
     NonConvergence,
     UnsupportedDomain,
     require_time,
+    require_trials,
 )
 from .tail_law import TailLaw
 from .transforms import log_pair_sum_tail
@@ -156,8 +157,8 @@ def eigen_tail(
     elif method == "mc":
         if rng is None:
             raise ArgumentOutOfRange("Monte Carlo tail estimation requires an rng")
-        lam = np.empty(int(n_fields))
-        for i in range(int(n_fields)):
+        lam = np.empty(require_trials(n_fields, 1))
+        for i in range(lam.size):
             dec = eigen(assemble(sample_field(law, dom, rng), dom))
             lam[i] = dec.eigenvalues[0]
         for eps in eps_arr:

@@ -7,7 +7,9 @@ taken over the whole line in v = u / w, where u is an unbounded coordinate
 that is 0 at the peak and w is the peak's Laplace width in u (one over the
 square root of minus the curvature there).  The bump then has width about 1
 in v however narrow it is in x, so QUADPACK cannot step over it.  The
-integrands run on Python floats.
+integrands run on Python floats.  scipy is imported inside the three functions
+that call it, so that importing rwrc, and every command that does no
+quadrature, never loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ArgumentOutOfRange, NonConvergence, NonPositiveArgument, require_time
 from .tail_law import TailLaw, log_cdf, log_density
@@ -36,6 +37,8 @@ def _log_peak_integral(h, width: float, ends: tuple[float, float], what: str) ->
     # h(u) - h(0) carries a rounding error of a few ulps of |h(0)|; asking
     # for more than that only makes QUADPACK report roundoff
     epsrel = max(1e-12, 16.0 * 2.0**-52 * abs(hstar))
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda v: math.exp(min(h(width * v) - hstar, _EXP_GUARD)),
         -math.inf, math.inf, epsabs=0.0, epsrel=epsrel, limit=400,
@@ -80,6 +83,8 @@ def log_laplace_transform(law: TailLaw, s: float) -> float:
         lo -= math.log(2.0)
         if lo < -690.0:
             raise ArgumentOutOfRange("failed to bracket the Laplace peak")
+    from scipy import optimize
+
     log_xstar = optimize.brentq(gfun, lo, hi, xtol=1e-15, rtol=4.0 * 2.0**-52)
     xstar = math.exp(log_xstar)
 
@@ -133,6 +138,8 @@ def log_pair_sum_tail(law: TailLaw, eps: float) -> float:
     below = ArgumentOutOfRange(f"log P(w1 + w2 <= {eps:g}) is below the float range")
     if not slope(-zend) > 0.0 > slope(zend):
         raise below
+    from scipy import optimize
+
     zstar = optimize.brentq(slope, -zend, zend, xtol=1e-14)
     if not h(zstar) > -math.inf:
         raise below

@@ -493,6 +493,10 @@ BAD_TRIALS = [
     (["nonexit"], {"trials": "many"}),
     (["nonexit"], {"trials": 10.5}),
     (["nonexit"], {"trials": True}),
+    (["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", 0.5, "--fields", 0,
+      "--seed", 1], None),
+    (["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", 0.5, "--fields", -1,
+      "--seed", 1], None),
 ]
 
 
@@ -503,6 +507,52 @@ BAD_TRIALS = [
 )
 def test_cli_bad_trial_count_exits_1(tmp_path, capsys, args, config):
     assert_invalid_input_without_output(tmp_path, capsys, args, config)
+
+
+# config values of the wrong type or sign (flags, config): invalid input, no output
+BAD_CONFIG_VALUES = [
+    (["sample-field", "--seed", -1], None),
+    (["sample-field"], {"seed": -1}),
+    (["sample-field"], {"seed": "abc"}),
+    (["sample-field"], {"seed": 1.5}),
+    (["sample-field"], {"seed": True}),
+    (["sample-field"], {"law": {"eta": "x"}, "seed": 1}),
+    (["sample-field"], {"law": {"D": None}, "seed": 1}),
+    (["sample-field"], {"law": [1], "seed": 1}),
+    (["sample-field"], {"domain": {"type": "box", "d": "x"}, "seed": 1}),
+    (["sample-field"], {"domain": {"type": "box", "d": 1.5}, "seed": 1}),
+    (["sample-field"], {"domain": {"type": "box", "half_width": -1}, "seed": 1}),
+    (["sample-field"], {"domain": {"type": "box", "half_width": True}, "seed": 1}),
+    (["sample-field"], {"domain": [1], "seed": 1}),
+    (["sample-field"], {"domain": {"type": "sites", "d": "x", "sites": [[0]]}, "seed": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "args,config",
+    BAD_CONFIG_VALUES,
+    ids=[" ".join(map(str, a)) + (f" config {c}" if c else "") for a, c in BAD_CONFIG_VALUES],
+)
+def test_cli_bad_config_value_exits_1(tmp_path, capsys, args, config):
+    assert_invalid_input_without_output(tmp_path, capsys, args, config)
+
+
+@pytest.mark.parametrize("out", [1, True, ["x.csv"]])
+def test_cli_config_out_that_is_not_a_path_exits_1(tmp_path, monkeypatch, capsys, out):
+    # an integer out would be opened as a file descriptor
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": out, "seed": 1}))
+    assert run(["sample-field", "--config", tmp_path / "cfg.json"]) == 1
+    assert "rwrc: invalid input" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_reads_integral_floats_as_integers():
+    c = ExperimentConfig.from_dict(
+        {"seed": 3.0, "domain": {"type": "box", "d": 2.0, "half_width": 1.0}}
+    )
+    assert c.seed == 3 and type(c.seed) is int
+    assert c.build_domain().n_sites == 9
 
 
 # times that are negative or not finite (flags, config): invalid input, no output

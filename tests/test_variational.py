@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rwrc.conductance import ConductanceField
 from rwrc.domain import box_domain, build_domain
 import rwrc.variational as variational
 from rwrc.errors import DomainTooLarge, NonPositiveArgument
 from rwrc.profiles import ProbabilityProfile, edge_differences, uniform_profile
 from rwrc.rates import joint_rate_J, k_const
+from rwrc.spectral import assemble, eigen
 from rwrc.tail_law import TailLaw
 from rwrc.variational import (
     DECREASE_TOL, KAPPAS, MAX_ITER, RESTARTS, SEED, brute_force_L, exponent, objective, solve_L,
@@ -78,6 +80,29 @@ def test_solver_matches_oracle_all_small_domains():
             sv = solve_L(dom, eta)
             bf = brute_force_L(dom, eta)
             assert abs(sv.value - bf.value) <= 1e-3, (eta, dom.n_sites)
+
+
+PROPERTY_DOMAINS = {
+    "box1d:0": box_domain(1, 0),
+    "box1d:1": box_domain(1, 1),
+    "box1d:3": box_domain(1, 3),
+    "box2d:1": box_domain(2, 1),
+    "box3d:0": box_domain(3, 0),
+    "chain2": chain(2),
+    "L-tromino": build_domain([[0, 0], [1, 0], [0, 1]], 2),
+}
+
+
+@pytest.mark.parametrize("name", list(PROPERTY_DOMAINS))
+def test_solver_is_nonincreasing_in_eta_and_above_unit_eigenvalue(name):
+    # a unit profile has |grad_e g| <= 1, so |grad_e g|**p falls as p = 2*eta/(eta+1)
+    # grows, and for p < 2 it is at least (grad_e g)**2, whose infimum is lambda1(1)
+    dom = PROPERTY_DOMAINS[name]
+    lam1 = eigen(assemble(ConductanceField(dom, np.ones(dom.n_edges)), dom)).eigenvalues[0]
+    values = [solve_L(dom, eta).value for eta in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)]
+    for lo, hi in zip(values[1:], values):
+        assert lo <= hi * (1.0 + 1e-12), values
+    assert min(values) >= lam1 * (1.0 - 1e-12), (values, lam1)
 
 
 def boundary_ratio_min(dom):
