@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain, build_domain, domains_equal
-from .errors import FieldMismatch, NonPositiveArgument, NonPositiveScale, NonPositiveWeight
+from .errors import FieldMismatch, NonPositiveScale, NonPositiveWeight, require_positive
 from .profiles import ProbabilityProfile, edge_differences
 from .tail_law import TailLaw, log_density, sample
 
@@ -62,12 +62,11 @@ def optimal_profile(
     Edges where g takes equal values at both endpoints impose no constraint
     and are set to ``cap``.
     """
-    if not (np.isfinite(cap) and cap > 0):
-        raise NonPositiveArgument(f"cap must be positive and finite, got {cap!r}")
+    cap = require_positive(cap, "cap")
     diffs = np.abs(edge_differences(g.domain, g.values))
     pref = (law.dcoef * law.eta) ** (1.0 / (law.eta + 1.0))
     safe = np.where(diffs > 0.0, diffs, 1.0)
-    w = np.where(diffs > 0.0, pref * safe ** (-2.0 / (law.eta + 1.0)), float(cap))
+    w = np.where(diffs > 0.0, pref * safe ** (-2.0 / (law.eta + 1.0)), cap)
     return ConductanceField(g.domain, w)
 
 

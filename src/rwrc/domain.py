@@ -17,11 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ArgumentOutOfRange,
     DimensionMismatch,
     DisconnectedDomain,
     DuplicateSite,
     OriginMissing,
+    require_count,
 )
 
 @dataclass(frozen=True)
@@ -109,13 +109,11 @@ def _neighbour_offsets(d: int) -> list[tuple[int, ...]]:
 def build_domain(points, d: int) -> Domain:
     """Validate a site collection and build the full domain structure.
 
-    Raises DimensionMismatch, DuplicateSite, OriginMissing, or
-    DisconnectedDomain.  Connectivity is with respect to nearest-neighbour
-    adjacency.
+    Raises ArgumentOutOfRange for a d below 1, DimensionMismatch,
+    DuplicateSite, OriginMissing, or DisconnectedDomain.  Connectivity is with
+    respect to nearest-neighbour adjacency.
     """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise DimensionMismatch(f"dimension must be a positive integer, got {d!r}")
-    d = int(d)
+    d = require_count(d, 1, "d")
     pts = [_normalize_point(p, d) for p in points]
     if not pts:
         raise OriginMissing("domain is empty")
@@ -190,12 +188,10 @@ def build_domain(points, d: int) -> Domain:
 
 def box_domain(d: int, half_width: int) -> Domain:
     """Centered lattice box {-half_width, ..., half_width}^d."""
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise DimensionMismatch(f"dimension must be a positive integer, got {d!r}")
-    if not isinstance(half_width, (int, np.integer)) or half_width < 0:
-        raise ArgumentOutOfRange(f"half_width must be a nonnegative integer, got {half_width!r}")
-    rng = range(-int(half_width), int(half_width) + 1)
-    return build_domain(itertools.product(rng, repeat=int(d)), int(d))
+    d = require_count(d, 1, "d")
+    half_width = require_count(half_width, 0, "half_width")
+    rng = range(-half_width, half_width + 1)
+    return build_domain(itertools.product(rng, repeat=d), d)
 
 
 def domains_equal(a: Domain, b: Domain) -> bool:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument rules they guard."""
 
 import math
+import numbers
 
 
 class RwrcError(ValueError):
@@ -39,11 +40,11 @@ class UnsupportedDomain(RwrcError):
 
 # scalar argument validation
 
-class NonPositiveArgument(RwrcError):
+class ArgumentOutOfRange(RwrcError):
     pass
 
 
-class ArgumentOutOfRange(RwrcError):
+class NonPositiveArgument(ArgumentOutOfRange):
     pass
 
 
@@ -90,8 +91,20 @@ def require_time(t) -> float:
     return float(t)
 
 
-def require_trials(n, least: int) -> int:
-    """A trial count of at least ``least``: 2 where a standard error is reported."""
-    if n < least:
-        raise ArgumentOutOfRange(f"need at least {least} trials, got {n}")
-    return int(n)
+def require_positive(x, what: str) -> float:
+    """A scale, exponent or bound: finite and positive, returned as a float."""
+    if not (math.isfinite(x) and x > 0):
+        raise NonPositiveArgument(f"{what} must be positive and finite, got {x!r}")
+    return float(x)
+
+
+def require_count(value, least: int, what: str) -> int:
+    """A count, size or seed: an integral number (not a bool) of at least
+    ``least``, returned as an int; 2 wherever a standard error is reported."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ArgumentOutOfRange(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ArgumentOutOfRange(f"{what} must be at least {least}, got {value!r}")
+    return int(value)

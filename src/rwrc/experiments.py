@@ -32,11 +32,11 @@ from .errors import (
     DomainMismatch,
     DomainTooLarge,
     NonConvergence,
-    NonPositiveArgument,
     RwrcError,
     UnsupportedDomain,
+    require_count,
+    require_positive,
     require_time,
-    require_trials,
 )
 from .girsanov import girsanov_log_density
 from .profiles import ProbabilityProfile
@@ -81,10 +81,10 @@ class ExperimentConfig:
             eta=law.eta,
             dcoef=law.dcoef,
             times=times,
-            trials=_integer(doc.get("trials", 10000), "trials", 1),
-            inner_trials=_integer(doc.get("inner_trials", 200), "inner_trials", 1),
+            trials=require_count(doc.get("trials", 10000), 1, "trials"),
+            inner_trials=require_count(doc.get("inner_trials", 200), 1, "inner_trials"),
             deltas=deltas,
-            seed=None if seed is None else _integer(seed, "seed", 0),
+            seed=None if seed is None else require_count(seed, 0, "seed"),
             out=out,
         )
 
@@ -121,17 +121,6 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
-def _integer(value, key: str, least: int) -> int:
-    """An integral number (not a bool) of at least ``least`` read from a config."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ArgumentOutOfRange(f"{key} must be an integer, got {value!r}")
-    if value < least:
-        raise ArgumentOutOfRange(f"{key} must be at least {least}, got {value!r}")
-    return int(value)
-
-
 def _mapping(value, key: str) -> dict:
     """A section read from a config: a JSON object."""
     if not isinstance(value, dict):
@@ -150,11 +139,9 @@ def _parse_grid(text: str, flag: str) -> list:
 def domain_from_spec(spec: dict) -> Domain:
     kind = spec.get("type", "box")
     if kind == "box":
-        return box_domain(
-            _integer(spec.get("d", 1), "d", 1), _integer(spec.get("half_width", 0), "half_width", 0)
-        )
+        return box_domain(spec.get("d", 1), spec.get("half_width", 0))
     if kind == "sites":
-        return build_domain(spec["sites"], _integer(spec["d"], "d", 1))
+        return build_domain(spec["sites"], spec["d"])
     raise UnsupportedDomain(f"unknown domain type {kind!r}")
 
 
@@ -207,7 +194,7 @@ def annealed_nonexit_quadrature(law: TailLaw, t: float) -> AnnealedEstimate:
 
 def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Plain Monte Carlo: prior fields, spectral inner probability."""
-    require_trials(config.trials, 2)
+    require_count(config.trials, 2, "trials")
     dom = config.build_domain()
     law = config.law()
     rng = _require_rng(config)
@@ -279,7 +266,7 @@ def _ess(logw: np.ndarray) -> float:
 
 def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Importance sampling with tilted fields, spectral inner probability."""
-    require_trials(config.trials, 2)
+    require_count(config.trials, 2, "trials")
     dom = config.build_domain()
     law = config.law()
     rng = _require_rng(config)
@@ -335,19 +322,17 @@ class TauberianPoint:
 
 def tauberian_check(law: TailLaw, m_const: float, t_list) -> list[TauberianPoint]:
     """Laplace-transform form of the lower-tail assumption along a time grid."""
-    if not (np.isfinite(m_const) and m_const > 0):
-        raise NonPositiveArgument(f"M must be positive, got {m_const!r}")
+    m_const = require_positive(m_const, "M")
     target = float(-k_const(law) * m_const ** (law.eta / (1.0 + law.eta)))
     points = []
     for t in t_list:
-        if not (np.isfinite(t) and t > 0):
-            raise ArgumentOutOfRange(f"times must be positive, got {t!r}")
+        t = require_positive(t, "time")
         try:
-            s = float(t) ** ((1.0 + law.eta) / law.eta) * m_const
+            s = t ** ((1.0 + law.eta) / law.eta) * m_const
         except OverflowError:
             raise ArgumentOutOfRange(f"t**((1+eta)/eta) overflows at t = {t:g}") from None
-        val = log_laplace_transform(law, s) / float(t)
-        points.append(TauberianPoint(float(t), float(val), target))
+        val = log_laplace_transform(law, s) / t
+        points.append(TauberianPoint(t, float(val), target))
     return points
 
 
@@ -360,7 +345,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     rescaled values against the joint rate and checks the lower-bound side
     within the empirical delta slack.
     """
-    require_trials(config.trials, 2)
+    require_count(config.trials, 2, "trials")
     dom = config.build_domain()
     if dom.n_sites > 3:
         raise DomainTooLarge("profile tracking check supports at most 3 sites")
@@ -492,7 +477,7 @@ def _run_eigen_tail(args, config: ExperimentConfig, law: TailLaw):
     dom = config.build_domain()
     eps_list = _parse_grid(args.eps, "--eps")
     rng = _require_rng(config) if args.method == "mc" else None
-    points = eigen_tail(law, dom, eps_list, method=args.method, n_fields=args.fields, rng=rng)
+    points = eigen_tail(law, dom, eps_list, method=args.method, n_fields=config.trials, rng=rng)
     rows = [["eps", "prob", "log_prob", "eps_eta_log_prob"]]
     rows += [[pt.eps, pt.prob, pt.log_prob, pt.scaled_log] for pt in points]
     status = f"eigen-tail[{args.method}]: eps={points[-1].eps:g} scaled={points[-1].scaled_log:.6g}"
@@ -520,7 +505,7 @@ def _run_girsanov_test(args, config: ExperimentConfig, law: TailLaw):
     lo, hi = args.lo, args.hi
     if not (0 < lo <= hi):
         raise ArgumentOutOfRange("the target band must satisfy 0 < lo <= hi")
-    require_trials(config.trials, 2)
+    require_count(config.trials, 2, "trials")
     dom = config.build_domain()
     rng = _require_rng(config)
     t = config.times[0]
@@ -573,7 +558,6 @@ COMMANDS = {
     "eigen-tail": ("principal eigenvalue lower tail", _run_eigen_tail, [
         ("--eps", dict(help="comma-separated eps grid", default="0.01")),
         ("--method", dict(choices=("quadrature", "mc"), default="quadrature")),
-        ("--fields", dict(type=int, default=2000, help="MC field count")),
     ]),
     "tauberian": ("Laplace-transform tail identity", _run_tauberian, [
         ("--M", dict(type=float, default=1.0, dest="m_const")),

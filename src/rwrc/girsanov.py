@@ -22,8 +22,9 @@ from .errors import (
     EpsilonTooLarge,
     NonPositiveArgument,
     UnsupportedSetShape,
+    require_count,
+    require_positive,
     require_time,
-    require_trials,
 )
 from .spectral import assemble, semigroup_nonexit
 from .walk import PathRecord, _walk_tables, simulate
@@ -48,7 +49,7 @@ def reweighted_probability(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Estimate P(event) under phi by simulating under psi and reweighting."""
-    n = require_trials(n, 2)
+    n = require_count(n, 2, "n_paths")
     require_same_domain(phi, dom)
     require_same_domain(psi, dom)
     vals = np.empty(n)
@@ -87,8 +88,8 @@ def comparison_bound_check(
     three joint standard errors.
     """
     require_same_domain(psi, dom)
-    if not (np.isfinite(eps) and eps > 0):
-        raise NonPositiveArgument(f"eps must be positive, got {eps!r}")
+    eps = require_positive(eps, "eps")
+    n_fields = require_count(n_fields, 1, "n_fields")
     if eps >= float(np.min(psi.weights)):
         raise EpsilonTooLarge(
             f"eps={eps} is not below the smallest weight {float(np.min(psi.weights))}"
@@ -108,7 +109,7 @@ def comparison_bound_check(
     base, base_se = estimate(lowered)
     margins = []
     violations = 0
-    for _ in range(int(n_fields)):
+    for _ in range(n_fields):
         w = psi.weights + eps * (2.0 * rng.random(dom.n_edges) - 1.0)
         lhs, lhs_se = estimate(ConductanceField(dom, w))
         margin = lhs - factor * base
@@ -122,7 +123,7 @@ def comparison_bound_check(
         "factor": factor,
         "base": base,
         "base_se": base_se,
-        "n_fields": int(n_fields),
+        "n_fields": n_fields,
         "min_margin": float(margins.min()),
         "violations": int(violations),
         "ok": violations == 0,
@@ -130,7 +131,7 @@ def comparison_bound_check(
 
 
 def _event_mc(event, f, dom, t, n, rng) -> tuple[float, float]:
-    n = require_trials(n, 2)
+    n = require_count(n, 2, "n_paths")
     p = sum(bool(event(simulate(f, dom, t, rng))) for _ in range(n)) / n
     return float(p), float(np.sqrt(p * (1.0 - p) / n))
 

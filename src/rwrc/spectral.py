@@ -21,8 +21,9 @@ from .errors import (
     DegenerateWeights,
     NonConvergence,
     UnsupportedDomain,
+    require_count,
+    require_positive,
     require_time,
-    require_trials,
 )
 from .tail_law import TailLaw
 from .transforms import log_pair_sum_tail
@@ -142,9 +143,9 @@ def eigen_tail(
     estimated by Monte Carlo over sampled fields, and an eps that no sampled
     field reaches raises DegenerateWeights.
     """
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    if eps_arr.size == 0 or not np.all(eps_arr > 0):
-        raise ArgumentOutOfRange("eps values must be strictly positive")
+    eps_arr = np.array([require_positive(eps, "eps") for eps in eps_list], dtype=float)
+    if eps_arr.size == 0:
+        raise ArgumentOutOfRange("the eps grid is empty")
     points: list[EigenTailPoint] = []
     if method == "quadrature":
         if dom.n_sites != 1 or dom.d != 1:
@@ -157,7 +158,7 @@ def eigen_tail(
     elif method == "mc":
         if rng is None:
             raise ArgumentOutOfRange("Monte Carlo tail estimation requires an rng")
-        lam = np.empty(require_trials(n_fields, 1))
+        lam = np.empty(require_count(n_fields, 1, "n_fields"))
         for i in range(lam.size):
             dec = eigen(assemble(sample_field(law, dom, rng), dom))
             lam[i] = dec.eigenvalues[0]

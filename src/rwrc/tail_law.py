@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentOutOfRange, NonPositiveArgument
+from .errors import ArgumentOutOfRange, NonPositiveArgument, require_positive
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,8 @@ class TailLaw:
     dcoef: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise NonPositiveArgument(f"eta must be positive and finite, got {self.eta!r}")
-        if not (np.isfinite(self.dcoef) and self.dcoef > 0):
-            raise NonPositiveArgument(f"dcoef must be positive and finite, got {self.dcoef!r}")
+        require_positive(self.eta, "eta")
+        require_positive(self.dcoef, "dcoef")
 
 
 def _require_positive(x, name: str):

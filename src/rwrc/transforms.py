@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import ArgumentOutOfRange, NonConvergence, NonPositiveArgument, require_time
+from .errors import ArgumentOutOfRange, NonConvergence, require_positive, require_time
 from .tail_law import TailLaw, log_cdf, log_density
 
 _EXP_GUARD = 500.0
@@ -104,9 +102,7 @@ def log_laplace_transform(law: TailLaw, s: float) -> float:
 
 def log_pair_sum_tail(law: TailLaw, eps: float) -> float:
     """log P(w1 + w2 <= eps) for two independent conductances."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise NonPositiveArgument(f"eps must be positive and finite, got {eps!r}")
-    eps = float(eps)
+    eps = require_positive(eps, "eps")
     eta, dcoef = law.eta, law.dcoef
     log_eps = math.log(eps)
     # x = eps / (1 + exp(-z)) and y = eps - x stay above 1e-300 for |z| <= zend

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain
-from .errors import DomainTooLarge, NonConvergence, NonPositiveArgument
+from .errors import DomainTooLarge, NonConvergence, require_positive
 from .profiles import ProbabilityProfile, edge_differences, uniform_profile
 from .spectral import dirichlet_matrix, eigh
 
@@ -45,8 +45,7 @@ class VariationalResult:
 
 def exponent(eta: float) -> float:
     """The edge exponent p = 2*eta/(eta+1) of the domain constant."""
-    if not (np.isfinite(eta) and eta > 0):
-        raise NonPositiveArgument(f"eta must be positive, got {eta!r}")
+    eta = require_positive(eta, "eta")
     return 2.0 * eta / (eta + 1.0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conductance import ConductanceField, require_same_domain, site_totals
 from .domain import Domain
-from .errors import require_time, require_trials
+from .errors import require_count, require_time
 
 
 @dataclass(eq=False)
@@ -37,7 +37,6 @@ class PathRecord:
     jump_times: np.ndarray
     sites: np.ndarray
     horizon: float
-    exited: bool
     exit_time: float | None
     occupation: np.ndarray
     crossed: np.ndarray
@@ -45,6 +44,10 @@ class PathRecord:
     @property
     def n_jumps(self) -> int:
         return int(self.jump_times.shape[0])
+
+    @property
+    def exited(self) -> bool:
+        return self.exit_time is not None
 
     @property
     def end_time(self) -> float:
@@ -143,7 +146,6 @@ def simulate(
         jump_times=np.array(jump_times, dtype=float),
         sites=np.array(visited, dtype=np.int64),
         horizon=t,
-        exited=exit_time is not None,
         exit_time=exit_time,
         occupation=np.array(occupation),
         crossed=np.array(crossed, dtype=np.int64),
@@ -220,7 +222,7 @@ def nonexit_mc(
     f: ConductanceField, dom: Domain, t: float, n: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo non-exit probability with its binomial standard error."""
-    n = require_trials(n, 2)
+    n = require_count(n, 2, "n_paths")
     exited, _, _ = _simulate_batch(f, dom, require_time(t), n, rng, want_occupation=False)
     p = float(np.mean(~exited))
     se = float(np.sqrt(p * (1.0 - p) / n))
@@ -231,5 +233,5 @@ def occupation_mc(
     f: ConductanceField, dom: Domain, t: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exit flags, end times, and per-site occupation for n independent paths."""
-    n = require_trials(n, 1)
+    n = require_count(n, 1, "n_paths")
     return _simulate_batch(f, dom, require_time(t), n, rng, want_occupation=True)

@@ -493,9 +493,9 @@ BAD_TRIALS = [
     (["nonexit"], {"trials": "many"}),
     (["nonexit"], {"trials": 10.5}),
     (["nonexit"], {"trials": True}),
-    (["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", 0.5, "--fields", 0,
+    (["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", 0.5, "--trials", 0,
       "--seed", 1], None),
-    (["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", 0.5, "--fields", -1,
+    (["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", 0.5, "--trials", -1,
       "--seed", 1], None),
 ]
 
@@ -525,6 +525,9 @@ BAD_CONFIG_VALUES = [
     (["sample-field"], {"domain": {"type": "box", "half_width": True}, "seed": 1}),
     (["sample-field"], {"domain": [1], "seed": 1}),
     (["sample-field"], {"domain": {"type": "sites", "d": "x", "sites": [[0]]}, "seed": 1}),
+    # inf used to pass the eps check and write a tail probability of nan
+    (["eigen-tail", "--method", "mc", "--domain", "box1d:1", "--eps", "inf", "--trials", 20,
+      "--seed", 1], None),
 ]
 
 
@@ -669,7 +672,7 @@ SMALL_ETA_MC = [
     ["nonexit", "--method", "mc", "--eta", 0.05, "--domain", "box2d:1", "--t", 10,
      "--trials", 40, "--seed", 1],
     ["eigen-tail", "--method", "mc", "--eta", 0.1, "--domain", "box2d:1", "--eps", "0.5,0.01",
-     "--fields", 2000, "--seed", 1],
+     "--trials", 2000, "--seed", 1],
 ]
 
 
@@ -726,11 +729,32 @@ def test_cli_eigensolver_failure_exits_2(tmp_path, monkeypatch):
 
 
 def test_cli_eigen_tail_mc_without_hits_exits_2(tmp_path, capsys):
-    args = ["eigen-tail", "--method", "mc", "--domain", "box2d:1", "--eps", 0.5, "--seed", 1]
+    args = ["eigen-tail", "--method", "mc", "--domain", "box2d:1", "--eps", 0.5, "--trials", 2000,
+            "--seed", 1]
     assert run(args + ["--out", tmp_path / "et.csv"]) == 2
     err = capsys.readouterr().err
     assert "eps = 0.5" in err and "2000" in err
     assert not (tmp_path / "et.csv").exists()
+
+
+def test_cli_eigen_tail_mc_counts_its_fields_with_trials(tmp_path, capsys):
+    args = ["eigen-tail", "--method", "mc", "--domain", "box2d:1", "--eps", 0.5, "--trials", 500,
+            "--seed", 1]
+    assert run(args + ["--out", tmp_path / "et.csv"]) == 2
+    assert "no field of 500 " in capsys.readouterr().err
+
+
+def test_cli_eigen_tail_mc_seeded_values(tmp_path):
+    # written by the former --fields flag at its default of 2000, byte for byte
+    out = tmp_path / "tail_mc.csv"
+    args = ["eigen-tail", "--method", "mc", "--domain", "box1d:1", "--eps", "0.5,0.25",
+            "--trials", 2000, "--seed", 1]
+    assert run(args + ["--out", out]) == 0
+    assert out.read_bytes() == (
+        b"eps,prob,log_prob,eps_eta_log_prob\r\n"
+        b"0.5,0.239,-1.4312917270506265,-0.7156458635253132\r\n"
+        b"0.25,0.022,-3.816712825623821,-0.9541782064059553\r\n"
+    )
 
 
 def test_cli_reproducible(tmp_path):

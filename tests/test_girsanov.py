@@ -39,7 +39,6 @@ def stay_path(dom, t):
         jump_times=np.empty(0),
         sites=np.array([dom.origin_index]),
         horizon=t,
-        exited=False,
         exit_time=None,
         occupation=np.where(np.arange(dom.n_sites) == dom.origin_index, float(t), 0.0),
         crossed=np.empty(0, dtype=np.int64),

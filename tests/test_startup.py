@@ -14,7 +14,7 @@ NUMPY_ONLY_ROUTES = [
     ["solve-variational", "--domain", "box1d:0", "--brute-force"],
     ["nonexit", "--method", "mc", "--domain", "box1d:1", "--t", "2", "--trials", "20", "--seed", "1"],
     ["nonexit", "--method", "is", "--domain", "box1d:1", "--t", "2", "--trials", "20", "--seed", "1"],
-    ["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", "2", "--fields", "20",
+    ["eigen-tail", "--method", "mc", "--domain", "box1d:0", "--eps", "2", "--trials", "20",
      "--seed", "1"],
     ["ldp-check", "--domain", "box1d:0", "--t", "1", "--trials", "4", "--seed", "3"],
     ["girsanov-test", "--domain", "box1d:1", "--t", "1", "--trials", "20", "--seed", "0"],
