@@ -13,20 +13,11 @@ from .conductance import (
     ConductanceField,
     field_from_json,
     field_to_json,
-    log_prior_density,
     optimal_profile,
     sample_field,
-    scale_field,
     site_totals,
 )
-from .domain import (
-    Domain,
-    Edge,
-    box_domain,
-    build_domain,
-    domain_from_json,
-    domain_to_json,
-)
+from .domain import Domain, Edge, box_domain, build_domain
 from .errors import RwrcError
 from .experiments import (
     AnnealedEstimate,
@@ -39,9 +30,6 @@ from .experiments import (
     tauberian_check,
 )
 from .girsanov import (
-    BoxSet,
-    PointSet,
-    VertexSet,
     comparison_bound_check,
     feynman_kac_upper_bound,
     girsanov_log_density,
@@ -51,7 +39,6 @@ from .profiles import ProbabilityProfile, delta_profile, edge_differences, unifo
 from .rates import check_infimum_identity, dv_rate_I, env_rate_H, joint_rate_J, k_const
 from .spectral import (
     DirichletOperator,
-    SpectralDecomposition,
     assemble,
     eigen,
     eigen_tail,

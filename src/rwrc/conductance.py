@@ -1,8 +1,8 @@
 """Edge-weight environments on a domain.
 
 A conductance field assigns a strictly positive weight to every canonical
-edge.  Besides sampling and rescaling, this module computes the profile-
-optimal environment shape: for a profile g, the weight that minimizes the
+edge.  Besides sampling, this module computes the profile-optimal
+environment shape: for a profile g, the weight that minimizes the
 per-edge tradeoff between occupation cost and environment cost is
 ``(dcoef*eta)**(1/(eta+1)) * |g(a)-g(b)|**(-2/(eta+1))``; edges with equal
 profile values are unconstrained and receive the cap value.
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Domain, build_domain, domains_equal
-from .errors import FieldMismatch, NonPositiveScale, NonPositiveWeight, require_positive
+from .errors import FieldMismatch, NonPositiveWeight, require_positive
 from .profiles import ProbabilityProfile, edge_differences
-from .tail_law import TailLaw, log_density, sample
+from .tail_law import TailLaw, sample
 
 DEFAULT_CAP = 1e6
 
@@ -48,12 +48,6 @@ def sample_field(law: TailLaw, dom: Domain, rng: np.random.Generator) -> Conduct
     return ConductanceField(dom, sample(law, rng, dom.n_edges))
 
 
-def scale_field(f: ConductanceField, c: float) -> ConductanceField:
-    if not (np.isfinite(c) and c > 0):
-        raise NonPositiveScale(f"scale must be positive and finite, got {c!r}")
-    return ConductanceField(f.domain, f.weights * float(c))
-
-
 def optimal_profile(
     g: ProbabilityProfile, law: TailLaw, cap: float = DEFAULT_CAP
 ) -> ConductanceField:
@@ -68,11 +62,6 @@ def optimal_profile(
     safe = np.where(diffs > 0.0, diffs, 1.0)
     w = np.where(diffs > 0.0, pref * safe ** (-2.0 / (law.eta + 1.0)), cap)
     return ConductanceField(g.domain, w)
-
-
-def log_prior_density(f: ConductanceField, law: TailLaw) -> float:
-    """Joint log density of the field under independent per-edge draws."""
-    return float(np.sum(log_density(law, f.weights)))
 
 
 def site_totals(f: ConductanceField) -> np.ndarray:

@@ -9,7 +9,6 @@ are the boundary edges through which the walk is killed.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,12 +195,3 @@ def box_domain(d: int, half_width: int) -> Domain:
 
 def domains_equal(a: Domain, b: Domain) -> bool:
     return a.d == b.d and a.sites.shape == b.sites.shape and bool(np.all(a.sites == b.sites))
-
-
-def domain_to_json(dom: Domain) -> str:
-    return json.dumps({"d": dom.d, "sites": dom.sites.tolist()})
-
-
-def domain_from_json(text: str) -> Domain:
-    doc = json.loads(text)
-    return build_domain(doc["sites"], int(doc["d"]))

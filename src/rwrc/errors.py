@@ -48,10 +48,6 @@ class NonPositiveArgument(ArgumentOutOfRange):
     pass
 
 
-class NonPositiveScale(RwrcError):
-    pass
-
-
 class NonPositiveWeight(RwrcError):
     pass
 
@@ -67,10 +63,6 @@ class FieldMismatch(DomainMismatch):
 
 
 class EpsilonTooLarge(RwrcError):
-    pass
-
-
-class UnsupportedSetShape(RwrcError):
     pass
 
 

@@ -71,7 +71,10 @@ class ExperimentConfig:
         times = [require_time(t) for t in _number_list(doc.get("times", [1.0]), "times")]
         if not times:
             raise ArgumentOutOfRange("the time grid is empty")
-        deltas = sorted(_number_list(doc.get("deltas", [0.4, 0.2]), "deltas"), reverse=True)
+        deltas = _number_list(doc.get("deltas", [0.4, 0.2]), "deltas")
+        if not deltas:
+            raise ArgumentOutOfRange("the delta grid is empty")
+        deltas = sorted((require_positive(x, "delta") for x in deltas), reverse=True)
         seed, out = doc.get("seed"), doc.get("out")
         if not (out is None or isinstance(out, str)):
             raise ArgumentOutOfRange(f"out must be a path, got {out!r}")
@@ -374,7 +377,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
         rescaled = {}
         for k, delta in enumerate(deltas):
             with np.errstate(divide="ignore"):
-                log_frac = np.where(fracs[k] > 0, np.log(np.where(fracs[k] > 0, fracs[k], 1.0)), -np.inf)
+                log_frac = np.log(fracs[k])
             log_est, rel_se = _log_weighted_mean(logw + log_frac)
             resc = float(t ** (-q) * log_est)
             rescaled[delta] = (resc, rel_se)

@@ -10,8 +10,6 @@ and the test-function upper bound for occupation-measure events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conductance import ConductanceField, require_same_domain
@@ -21,7 +19,6 @@ from .errors import (
     DomainMismatch,
     EpsilonTooLarge,
     NonPositiveArgument,
-    UnsupportedSetShape,
     require_count,
     require_positive,
     require_time,
@@ -136,38 +133,17 @@ def _event_mc(event, f, dom, t, n, rng) -> tuple[float, float]:
     return float(p), float(np.sqrt(p * (1.0 - p) / n))
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Single occupation measure, given as the vector of site masses."""
-
-    point: tuple
-
-
-@dataclass(frozen=True)
-class BoxSet:
-    """Product of per-site mass intervals [lo, hi]."""
-
-    lo: tuple
-    hi: tuple
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Polytope of occupation measures described by its vertices."""
-
-    vertices: tuple
-
-
 def feynman_kac_upper_bound(
-    f_test, phi: ConductanceField, dom: Domain, target_set, t: float
+    f_test, phi: ConductanceField, dom: Domain, masses, t: float
 ) -> float:
     """Upper bound on the probability that the occupation measure lies in a set.
 
     For a positive test function f on the domain (zero outside) the bound is
     (f(origin) / min f) * exp(t * sup over the set of sum_x (Lf/f)(x) h(x))
     where L is the environment generator and h runs over the set's mass
-    vectors.  The supremum of this linear functional is closed-form for a
-    point or a box and a vertex maximum otherwise.
+    vectors.  The set is the convex hull of the rows of ``masses``, a (k, n)
+    array of per-site mass vectors (a point is one row, a box its 2**n
+    corners), so the supremum of this linear functional is a maximum over rows.
     """
     require_same_domain(phi, dom)
     t = require_time(t)
@@ -176,26 +152,12 @@ def feynman_kac_upper_bound(
         raise DomainMismatch("test function length does not match the domain")
     if not np.all(np.isfinite(f)) or np.any(f <= 0):
         raise NonPositiveArgument("test function must be strictly positive on the domain")
+    h = np.asarray(masses, dtype=float)
+    if h.ndim != 2 or h.shape[0] == 0 or not np.all(np.isfinite(h)):
+        raise ArgumentOutOfRange("masses must be a nonempty (k, n) array of finite mass vectors")
+    if h.shape[1] != dom.n_sites:
+        raise DomainMismatch("mass vector length does not match the domain")
     # (Lf/f) with the generator L = -M diag(w) M^T, f extended by zero outside the domain
     coeff = -(assemble(phi, dom).matrix @ f) / f
-
-    if isinstance(target_set, PointSet):
-        h = np.asarray(target_set.point, dtype=float)
-        if h.shape != coeff.shape:
-            raise UnsupportedSetShape("point must be a per-site mass vector")
-        sup = float(coeff @ h)
-    elif isinstance(target_set, BoxSet):
-        lo = np.asarray(target_set.lo, dtype=float)
-        hi = np.asarray(target_set.hi, dtype=float)
-        if lo.shape != coeff.shape or hi.shape != coeff.shape or np.any(lo > hi):
-            raise UnsupportedSetShape("box bounds must be valid per-site intervals")
-        sup = float(np.sum(np.where(coeff >= 0, coeff * hi, coeff * lo)))
-    elif isinstance(target_set, VertexSet):
-        verts = [np.asarray(v, dtype=float) for v in target_set.vertices]
-        if not verts or any(v.shape != coeff.shape for v in verts):
-            raise UnsupportedSetShape("vertices must be per-site mass vectors")
-        sup = max(float(coeff @ v) for v in verts)
-    else:
-        raise UnsupportedSetShape(f"unsupported target set {type(target_set).__name__}")
     origin = dom.origin_index
-    return float(f[origin] / np.min(f) * np.exp(t * sup))
+    return float(f[origin] / np.min(f) * np.exp(t * np.max(h @ coeff)))

@@ -37,12 +37,6 @@ class DirichletOperator:
     matrix: np.ndarray
 
 
-@dataclass(eq=False)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray      # ascending
-    eigenvectors: np.ndarray     # orthonormal columns, matching order
-
-
 def dirichlet_matrix(dom: Domain, w: np.ndarray) -> np.ndarray:
     """M diag(w) M^T, M = dom.difference_matrix, edges on w's last axis; a stack gives a stack."""
     mat = dom.difference_matrix
@@ -62,8 +56,9 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonConvergence(f"LAPACK eigensolver failed: {exc}") from exc
 
 
-def eigen(op: DirichletOperator) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver.
+def eigen(op: DirichletOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver:
+    ascending eigenvalues and the matching orthonormal eigenvector columns.
 
     The operator is positive definite, so a principal eigenvalue at or below
     zero is rounding error swamping the spectrum (weights spanning some 20
@@ -75,13 +70,13 @@ def eigen(op: DirichletOperator) -> SpectralDecomposition:
             f"principal eigenvalue {lam[0]!r} of a positive definite operator; "
             "the weights span too many decades for the eigensolver"
         )
-    return SpectralDecomposition(lam, vec)
+    return lam, vec
 
 
-def _nonexit_from_decomposition(dec: SpectralDecomposition, start: int, t: float) -> float:
+def _nonexit_from_decomposition(lam: np.ndarray, vec: np.ndarray, start: int, t: float) -> float:
     """The eigenvalue sum, clipped to [0, 1]; a sum further out, or nan, raises NonConvergence."""
-    weights = dec.eigenvectors[start, :] * dec.eigenvectors.sum(axis=0)
-    val = float(np.sum(np.exp(-t * dec.eigenvalues) * weights))
+    weights = vec[start, :] * vec.sum(axis=0)
+    val = float(np.sum(np.exp(-t * lam) * weights))
     if not -_CLAMP_TOL <= val <= 1.0 + _CLAMP_TOL:
         raise NonConvergence(f"non-exit probability {val!r} lies outside [0, 1]")
     return min(max(val, 0.0), 1.0)
@@ -90,7 +85,7 @@ def _nonexit_from_decomposition(dec: SpectralDecomposition, start: int, t: float
 def semigroup_nonexit(f: ConductanceField, dom: Domain, t: float) -> float:
     """Exact probability that the walk has not exited by time t."""
     t = require_time(t)
-    return _nonexit_from_decomposition(eigen(assemble(f, dom)), dom.origin_index, t)
+    return _nonexit_from_decomposition(*eigen(assemble(f, dom)), dom.origin_index, t)
 
 
 def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
@@ -101,11 +96,11 @@ def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
     nonnegative up to rounding.
     """
     t = require_time(t)
-    dec = eigen(assemble(f, dom))
+    lam, vec = eigen(assemble(f, dom))
     n = dom.n_sites
-    lam1 = float(dec.eigenvalues[0])
-    p0 = _nonexit_from_decomposition(dec, dom.origin_index, t)
-    site_sum = float(sum(_nonexit_from_decomposition(dec, z, t) for z in range(n)))
+    lam1 = float(lam[0])
+    p0 = _nonexit_from_decomposition(lam, vec, dom.origin_index, t)
+    site_sum = float(sum(_nonexit_from_decomposition(lam, vec, z, t) for z in range(n)))
     principal = float(np.exp(-t * lam1))
     upper = n * n * principal
     return {
@@ -160,8 +155,7 @@ def eigen_tail(
             raise ArgumentOutOfRange("Monte Carlo tail estimation requires an rng")
         lam = np.empty(require_count(n_fields, 1, "n_fields"))
         for i in range(lam.size):
-            dec = eigen(assemble(sample_field(law, dom, rng), dom))
-            lam[i] = dec.eigenvalues[0]
+            lam[i] = eigen(assemble(sample_field(law, dom, rng), dom))[0][0]
         for eps in eps_arr:
             p = float(np.mean(lam <= eps))
             if p == 0.0:

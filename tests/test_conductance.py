@@ -8,14 +8,12 @@ from rwrc.conductance import (
     ConductanceField,
     field_from_json,
     field_to_json,
-    log_prior_density,
     optimal_profile,
     sample_field,
-    scale_field,
     site_totals,
 )
 from rwrc.domain import box_domain, build_domain, domains_equal
-from rwrc.errors import FieldMismatch, NonPositiveScale, NonPositiveWeight
+from rwrc.errors import FieldMismatch, NonPositiveWeight
 from rwrc.profiles import ProbabilityProfile, delta_profile, uniform_profile
 from rwrc.tail_law import TailLaw, cdf, log_density
 
@@ -42,17 +40,6 @@ def test_sample_field_joint_tail():
     p = cdf(law, 0.5) ** 2  # = e^{-4}, independence across edges
     se = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 3 * se
-
-
-def test_scale_field():
-    dom = build_domain([[0], [1]], 1)
-    f = ConductanceField(dom, np.array([1.0, 3.0, 2.0]))
-    assert np.array_equal(scale_field(f, 1.0).weights, f.weights)
-    assert np.array_equal(scale_field(f, 2.0).weights, [2.0, 6.0, 4.0])
-    back = scale_field(scale_field(f, 0.3), 1.0 / 0.3)
-    assert np.allclose(back.weights, f.weights, rtol=1e-15)
-    with pytest.raises(NonPositiveScale):
-        scale_field(f, 0.0)
 
 
 def test_optimal_profile_single_site():
@@ -84,22 +71,23 @@ def test_optimal_profile_scale_consistency():
     assert np.allclose(f2.weights, c * f1.weights, rtol=1e-12)
 
 
-def test_log_prior_density():
+def test_field_log_prior_sums_edge_densities():
+    # the joint log prior of a field sums the per-edge log densities
     dom = box_domain(1, 0)
     law = TailLaw(1.0, 1.0)
     f = ConductanceField(dom, np.array([1.0, 1.0]))
-    assert log_prior_density(f, law) == pytest.approx(-2.0, rel=1e-14)
+    assert log_density(law, f.weights).sum() == pytest.approx(-2.0, rel=1e-14)
     f2 = ConductanceField(dom, np.array([0.7, 2.2]))
     expect = log_density(law, 0.7) + log_density(law, 2.2)
-    assert log_prior_density(f2, law) == pytest.approx(expect, rel=1e-14)
+    assert log_density(law, f2.weights).sum() == pytest.approx(expect, rel=1e-14)
 
 
-def test_log_prior_density_unimodal():
+def test_field_log_prior_unimodal():
     dom = box_domain(1, 0)
     law = TailLaw(1.0, 1.0)
     mode = (law.dcoef * law.eta / (law.eta + 1.0)) ** (1.0 / law.eta)
     grid = np.linspace(mode, 50.0, 200)
-    vals = [log_prior_density(ConductanceField(dom, np.array([x, mode])), law) for x in grid]
+    vals = [log_density(law, ConductanceField(dom, np.array([x, mode])).weights).sum() for x in grid]
     assert np.all(np.diff(vals) < 0)
 
 

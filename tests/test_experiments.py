@@ -509,6 +509,17 @@ def test_cli_bad_trial_count_exits_1(tmp_path, capsys, args, config):
     assert_invalid_input_without_output(tmp_path, capsys, args, config)
 
 
+# the README's ldp.json, with fewer tilted fields
+TWO_SITE_LDP = {
+    "domain": {"type": "sites", "d": 1, "sites": [[0], [1]]},
+    "law": {"eta": 1.5, "D": 1.0},
+    "times": [16.0],
+    "trials": 4,
+    "inner_trials": 40,
+    "seed": 1,
+}
+
+
 # config values of the wrong type or sign (flags, config): invalid input, no output
 BAD_CONFIG_VALUES = [
     (["sample-field", "--seed", -1], None),
@@ -528,6 +539,11 @@ BAD_CONFIG_VALUES = [
     # inf used to pass the eps check and write a tail probability of nan
     (["eigen-tail", "--method", "mc", "--domain", "box1d:1", "--eps", "inf", "--trials", 20,
       "--seed", 1], None),
+    # no delta used to die with an IndexError; a delta of 0 or below gave an
+    # infinite slack, so the lower-bound check could not fail
+    (["ldp-check"], {**TWO_SITE_LDP, "deltas": []}),
+    (["ldp-check"], {**TWO_SITE_LDP, "deltas": [0.6, 0.0]}),
+    (["ldp-check"], {**TWO_SITE_LDP, "deltas": [0.6, -1]}),
 ]
 
 

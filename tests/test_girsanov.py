@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,22 +10,19 @@ from rwrc.conductance import ConductanceField, sample_field, site_totals
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import (
     ArgumentOutOfRange,
+    DomainMismatch,
     EpsilonTooLarge,
     FieldMismatch,
     NonPositiveArgument,
-    UnsupportedSetShape,
 )
 from rwrc.girsanov import (
-    BoxSet,
-    PointSet,
-    VertexSet,
     comparison_bound_check,
     feynman_kac_upper_bound,
     girsanov_log_density,
     nonexit_event,
     reweighted_probability,
 )
-from rwrc.spectral import semigroup_nonexit
+from rwrc.spectral import assemble, semigroup_nonexit
 from rwrc.tail_law import TailLaw
 from rwrc.walk import PathRecord, occupation_mc, simulate
 
@@ -223,11 +221,24 @@ def test_comparison_bound_eps_too_large():
         comparison_bound_check(psi, 0.3, dom, 1.0, 5, np.random.default_rng(16))
 
 
+def box_corners(lo, hi):
+    """The 2**n corners of the box of per-site masses [lo, hi], one per row."""
+    return np.array(list(itertools.product(*zip(lo, hi))))
+
+
+def box_bound_reference(f_test, phi, dom, lo, hi, t):
+    """The box's closed form: the supremum is sum_x max(c_x lo_x, c_x hi_x)."""
+    f = np.asarray(f_test, dtype=float)
+    coeff = -(assemble(phi, dom).matrix @ f) / f
+    sup = float(np.sum(np.where(coeff >= 0, coeff * hi, coeff * lo)))
+    return float(f[dom.origin_index] / np.min(f) * np.exp(t * sup))
+
+
 def test_feynman_kac_single_site_exact():
     dom = box_domain(1, 0)
     phi = ConductanceField(dom, np.array([1.0, 1.0]))
     for t in (0.5, 1.0, 3.0):
-        ub = feynman_kac_upper_bound(np.array([1.0]), phi, dom, PointSet((1.0,)), t)
+        ub = feynman_kac_upper_bound(np.array([1.0]), phi, dom, np.array([[1.0]]), t)
         assert ub == pytest.approx(math.exp(-2.0 * t), rel=1e-13)
         assert ub >= semigroup_nonexit(phi, dom, t) - 1e-13
 
@@ -235,7 +246,7 @@ def test_feynman_kac_single_site_exact():
 def test_feynman_kac_t_zero():
     dom = two_site()
     phi = ConductanceField(dom, np.ones(3))
-    ub = feynman_kac_upper_bound(np.array([1.0, 2.0]), phi, dom, PointSet((0.5, 0.5)), 0.0)
+    ub = feynman_kac_upper_bound(np.array([1.0, 2.0]), phi, dom, np.array([[0.5, 0.5]]), 0.0)
     assert ub == pytest.approx(1.0, rel=1e-14)  # f(origin)/min f with f(origin) = min f
 
 
@@ -249,21 +260,41 @@ def test_feynman_kac_dominates_mc():
         lo = rng.uniform(0.0, 0.4, dom.n_sites)
         hi = lo + rng.uniform(0.2, 0.6, dom.n_sites)
         hi = np.minimum(hi, 1.0)
-        box = BoxSet(tuple(lo), tuple(hi))
         exited, _, occ = occupation_mc(phi, dom, t, n, rng)
         h = occ / t
         hit = (~exited) & np.all((h >= lo[None, :]) & (h <= hi[None, :]), axis=1)
         p_hat = hit.mean()
         se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n)
         f_test = rng.uniform(0.5, 2.0, dom.n_sites)
-        ub = feynman_kac_upper_bound(f_test, phi, dom, box, t)
+        ub = feynman_kac_upper_bound(f_test, phi, dom, box_corners(lo, hi), t)
         assert ub >= p_hat - 3 * se
+
+
+_BOX_DOMAINS = (build_domain([[0], [1]], 1), box_domain(1, 1))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_feynman_kac_corners_keep_the_box_bound(data):
+    dom = data.draw(st.sampled_from(_BOX_DOMAINS))
+    n = dom.n_sites
+
+    def vector(size, lo, hi):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    phi = ConductanceField(dom, vector(dom.n_edges, 0.1, 5.0))
+    f_test = vector(n, 0.5, 2.0)
+    lo = vector(n, 0.0, 1.0)
+    hi = lo + vector(n, 0.0, 1.0)
+    t = data.draw(st.floats(0.0, 2.0))
+    ub = feynman_kac_upper_bound(f_test, phi, dom, box_corners(lo, hi), t)
+    assert ub == pytest.approx(box_bound_reference(f_test, phi, dom, lo, hi, t), rel=1e-12)
 
 
 def test_feynman_kac_vertex_route():
     dom = two_site()
     phi = ConductanceField(dom, np.ones(3))
-    simplex = VertexSet(((1.0, 0.0), (0.0, 1.0)))
+    simplex = np.array([[1.0, 0.0], [0.0, 1.0]])
     ub = feynman_kac_upper_bound(np.array([1.0, 1.0]), phi, dom, simplex, 1.0)
     assert ub >= semigroup_nonexit(phi, dom, 1.0) - 1e-13
 
@@ -272,11 +303,13 @@ def test_feynman_kac_errors():
     dom = two_site()
     phi = ConductanceField(dom, np.ones(3))
     f = np.array([1.0, 1.0])
-    with pytest.raises(UnsupportedSetShape):
-        feynman_kac_upper_bound(f, phi, dom, PointSet((1.0,)), 1.0)
-    with pytest.raises(UnsupportedSetShape):
-        feynman_kac_upper_bound(f, phi, dom, VertexSet(()), 1.0)
-    with pytest.raises(UnsupportedSetShape):
-        feynman_kac_upper_bound(f, phi, dom, {"not": "a set"}, 1.0)
+    with pytest.raises(DomainMismatch):
+        feynman_kac_upper_bound(f, phi, dom, np.array([[1.0]]), 1.0)
+    with pytest.raises(DomainMismatch):
+        feynman_kac_upper_bound(np.array([1.0]), phi, dom, np.array([[0.5, 0.5]]), 1.0)
+    for masses in (np.empty((0, 2)), np.array([0.5, 0.5]), np.array([[0.5, np.nan]]),
+                   np.array([[np.inf, 0.0]])):
+        with pytest.raises(ArgumentOutOfRange):
+            feynman_kac_upper_bound(f, phi, dom, masses, 1.0)
     with pytest.raises(NonPositiveArgument):
-        feynman_kac_upper_bound(np.array([1.0, 0.0]), phi, dom, PointSet((0.5, 0.5)), 1.0)
+        feynman_kac_upper_bound(np.array([1.0, 0.0]), phi, dom, np.array([[0.5, 0.5]]), 1.0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rwrc.conductance import ConductanceField, sample_field, scale_field, site_totals
+from rwrc.conductance import ConductanceField, sample_field, site_totals
 from rwrc.domain import box_domain, build_domain
 from rwrc.spectral import semigroup_nonexit
 from rwrc.tail_law import TailLaw
@@ -187,9 +187,7 @@ def test_scaling_identity_paired():
     f = ConductanceField(dom, np.array([0.6, 0.8, 0.5]))
     t, r = 4.0, 0.5
     s = t ** (1 - r)
-    from rwrc.conductance import scale_field
-
-    f2 = scale_field(f, t**r)
+    f2 = ConductanceField(dom, t**r * f.weights)
     e1, et1, o1 = occupation_mc(f, dom, t, 20_000, np.random.default_rng(42))
     e2, et2, o2 = occupation_mc(f2, dom, s, 20_000, np.random.default_rng(42))
     assert np.array_equal(e1, e2)
@@ -214,7 +212,7 @@ def test_walk_tables_follow_field_weights():
         f.weights = np.array([10.0, 10.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.domain = box_domain(1, 1)
-    assert _walk_tables(scale_field(f, 5.0)).rates[0] == 20.0
+    assert _walk_tables(ConductanceField(f.domain, 5.0 * f.weights)).rates[0] == 20.0
     assert _walk_tables(f).rates[0] == 4.0
 
 
