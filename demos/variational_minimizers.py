@@ -2,6 +2,8 @@
 # where L_eta(B) minimizes sum |g(y)-g(x)|^p over unit-mass profiles,
 # p = 2*eta/(1+eta).  Solve it two ways and print the minimizing profiles.
 
+import math
+
 import numpy as np
 
 from rwrc.domain import box_domain, build_domain
@@ -44,19 +46,35 @@ print("\n4-site minimizers at eta=1, value", round(res.value, 9))
 for m in res.minimizers:
     print("  ", np.round(m, 4))
 
-# growing boxes: L(B_R) should scale like R**(d - p*(1 + d/2)), which is
-# R**-1 in d = 1 at eta = 2 (p = 4/3); the local log-log slopes approach it
-# from above as R grows
-eta, d = 2.0, 1
+# growing chains at eta = 2 (p = 4/3): a smooth profile a*phi(x/(R+1)) scores
+# (R+1)**(1 - 3p/2) * C_p, where C_p is the l**p - l**2 Poincare constant of
+# [-1, 1], two Beta integrals in closed form.  So the local log-log slopes tend
+# to 1 - 3p/2 = -1 and the rescaled L to C_p, with a gap of order R**-2 that one
+# Richardson step (4*v(2R) - v(R))/3 removes
+eta = 2.0
 p = 2 * eta / (1 + eta)
-print(f"\nL(box1d:R) at eta={eta:g}; predicted exponent {d - p * (1 + d / 2):.4f}")
-print("   R   L(B_R)       slope")
+
+
+def beta(a, b):
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+b1, b3 = beta(0.5, 1 - 1 / p), beta(1.5, 1 - 1 / p)
+c_p = (2 * (p - 1) / p) * 2**-p * b1**p * (2 * b3 / b1) ** (1 - p / 2)
+print(f"\nL(box1d:R) at eta={eta:g}; predicted exponent {1 - 1.5 * p:.4f}, C_p = {c_p:.8f}")
+print("    R   L(B_R)       slope     L*(R+1)**(3p/2-1)   gap to C_p")
 prev = None
-for r in range(2, 17):
-    val = solve_L(box_domain(d, r), eta).value
-    slope = "" if prev is None else f"{np.log(val / prev[1]) / np.log(r / prev[0]):.4f}"
-    print(f"  {r:>2}   {val:.8f}   {slope}")
+scaled = []
+for r in (2, 4, 8, 16, 32, 64, 128):
+    val = solve_L(box_domain(1, r), eta).value
+    scaled.append(val * (r + 1) ** (1.5 * p - 1))
+    slope = "" if prev is None else f"{np.log(val / prev[1]) / np.log((r + 1) / (prev[0] + 1)):.4f}"
+    print(f"  {r:>3}   {val:.8f}   {slope:<8}  {scaled[-1]:.8f}          {c_p - scaled[-1]:.2e}")
     prev = (r, val)
+richardson = (4 * scaled[-1] - scaled[-2]) / 3
+print(f"Richardson from R = 64, 128: {richardson:.8f}, off C_p by {abs(richardson - c_p):.1e}")
+if not abs(richardson - c_p) <= 1e-5:
+    raise SystemExit("the solver's chains do not reach the continuum constant")
 
 # decay constants for the walk itself
 law = TailLaw(1.0, 1.0)

@@ -346,7 +346,9 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     survives to time t with normalized occupation within delta of g**2, by
     tilted-field importance sampling with an inner path Monte Carlo.  Reports
     rescaled values against the joint rate and checks the lower-bound side
-    within the empirical delta slack.
+    within the empirical delta slack: the gap between the widest delta and
+    the narrowest one that any walker landed within.  A delta with no hits
+    keeps its row, with a log-estimate of -inf.
     """
     require_count(config.trials, 2, "trials")
     dom = config.build_domain()
@@ -390,9 +392,11 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
                     "rel_se": float(rel_se),
                 }
             )
-        largest = deltas[0]
-        resc_big, rel_se_big = rescaled[largest]
-        slack = abs(rescaled[largest][0] - rescaled[deltas[-1]][0])
+        resc_big, rel_se_big = rescaled[deltas[0]]
+        # the slack comes from the narrowest delta that any walker landed within:
+        # an empty one has a -inf row and would make the slack inf
+        hit = [rescaled[d][0] for d in deltas if np.isfinite(rescaled[d][0])]
+        slack = abs(resc_big - hit[-1]) if hit else 0.0
         tol = 3.0 * t ** (-q) * (rel_se_big if np.isfinite(rel_se_big) else 0.0)
         ok = bool(resc_big >= -j_val - slack - tol)
         ok_all = ok_all and ok

@@ -56,6 +56,14 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonConvergence(f"LAPACK eigensolver failed: {exc}") from exc
 
 
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LAPACK's linear solve a x = b on one system or a stack; a singular matrix raises NonConvergence."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"LAPACK linear solve failed: {exc}") from exc
+
+
 def eigen(op: DirichletOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition by LAPACK's symmetric eigensolver:
     ascending eigenvalues and the matching orthonormal eigenvector columns.

@@ -3,12 +3,17 @@
 The domain constant is the infimum over unit-norm nonnegative profiles g of
 the sum of |increment|**(2*eta/(eta+1)) over canonical edges, g extended by
 zero outside.  Two independent routes are provided: an exhaustive angular
-grid search (small domains only) and a multi-start alternation between the
-two exact halves of the joint infimum over profile and environment: for a
-fixed profile the best edge weights are a closed-form power of its
-increments, and for fixed weights the best profile is the principal
-eigenvector of the weighted Dirichlet form.  A smoothing parameter kappa,
-driven to 1e-8, keeps the weights finite where an increment vanishes.
+grid search (small domains only) and a multi-start alternation between an
+environment step and a profile step.  For a fixed profile the best edge
+weights are a closed-form power of its increments.  For fixed weights the
+profile takes one inverse-iteration step of the weighted Dirichlet form A:
+g -> A^{-1} g, normalized.  That step is enough, for three reasons.  The
+smoothed objective is concave in the squared increments, so any step that
+lowers the weighted sum of squares lowers it (iteratively reweighted least
+squares).  For a symmetric positive definite A the Rayleigh quotient of
+A^{-1} x is at most that of x.  A is a nonsingular M-matrix, so A^{-1} g >= 0
+for g >= 0 and the new row is already a profile.  A smoothing parameter
+kappa, driven to 1e-8, keeps the weights finite where an increment vanishes.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ import numpy as np
 from .domain import Domain
 from .errors import DomainTooLarge, NonConvergence, require_positive
 from .profiles import ProbabilityProfile, edge_differences, uniform_profile
-from .spectral import dirichlet_matrix, eigh
+from .spectral import dirichlet_matrix, solve
 
 RESTARTS = 32          # the uniform profile, one delta per site, then seeded random starts
 SEED = 7
-MAX_ITER = 200         # eigen-steps per smoothing level
+MAX_ITER = 200         # profile steps per smoothing level
 DECREASE_TOL = 1e-13   # relative decrease of a step that stops a row at its level
 # smoothing levels 1e-2 down to 1e-8.  A level at 1e-1 drew every start into one
 # spread profile: on a 3x3 box less a corner at eta = 1.5 it gave 3.4420, where
@@ -133,17 +138,23 @@ def _smoothed_rows(u: np.ndarray, p: float, kappa: float) -> np.ndarray:
 
 
 def _reweighted(dom: Domain, g: np.ndarray, p: float) -> tuple[np.ndarray, int, np.ndarray]:
-    """Alternate exact environment and profile steps on every row of g at once.
+    """Alternate environment and profile steps on every row of g at once.
 
     At each smoothing level kappa a row's environment step sets the edge
-    weights w_e = (u_e**2 + kappa**2)**(p/2 - 1), u = the row's increments,
-    and its profile step replaces the row by the principal eigenvector of
-    the weighted operator M diag(w) M^T.  That eigenvector is of one sign
-    (Perron-Frobenius), so its absolute value is a profile.  Each step
-    lowers the smoothed objective sum (u**2 + kappa**2)**(p/2).  A row stops
-    at a level when a step lowers that by less than DECREASE_TOL relative,
-    or after MAX_ITER steps.  Returns the rows, the eigen-steps summed over
-    rows, and which rows stopped before the cap at the last level.
+    weights w_e = (u_e**2 + kappa**2)**(p/2 - 1), u = the row's increments.
+    Its profile step is one inverse-iteration step of A = M diag(w) M^T:
+    the row becomes A^{-1} g, normalized, all live rows in one batched
+    solve.  The smoothed objective sum (u**2 + kappa**2)**(p/2) is concave in
+    u**2, so it lies below its tangent there, (p/2) sum w_e u_e**2 plus a
+    constant.  For a unit row that sum is the Rayleigh quotient of A, and
+    for a symmetric positive definite A the quotient of A^{-1} g is at most
+    that of g, so the step lowers the objective.  A is a nonsingular
+    M-matrix (diagonally dominant, strictly so where an exterior edge meets
+    a site), so A^{-1} >= 0 entrywise and the new row is a profile.  A row
+    stops at a level when a step lowers the objective by less than
+    DECREASE_TOL relative, or after MAX_ITER steps.  Returns the rows, the
+    profile steps summed over rows, and which rows stopped before the cap
+    at the last level.
     """
     mat = dom.difference_matrix
     g = g.copy()
@@ -154,8 +165,8 @@ def _reweighted(dom: Domain, g: np.ndarray, p: float) -> tuple[np.ndarray, int, 
         f = _smoothed_rows(u, p, kap)
         for _ in range(MAX_ITER):
             w = (u * u + kap * kap) ** (p / 2.0 - 1.0)
-            vec = eigh(dirichlet_matrix(dom, w))[1][:, :, 0]
-            g[live] = np.abs(vec)
+            vec = solve(dirichlet_matrix(dom, w), g[live][:, :, None])[:, :, 0]
+            g[live] = vec / np.sqrt(np.sum(vec * vec, axis=1, keepdims=True))
             steps += live.size
             u = g[live] @ mat
             fn = _smoothed_rows(u, p, kap)
@@ -171,14 +182,16 @@ def _reweighted(dom: Domain, g: np.ndarray, p: float) -> tuple[np.ndarray, int, 
 def solve_L(dom: Domain, eta: float) -> VariationalResult:
     """Multi-start alternating minimization with smoothing continuation.
 
-    L(B) is an infimum over profiles and environments together; each half
-    has an exact minimizer, and `_reweighted` alternates them (iteratively
-    reweighted least squares for the l**p sum, whose least-squares step is
-    an eigenproblem).  All starts run together, one matrix row each.  The
-    final minimum scores the starts themselves too, so the result is never
-    worse than the uniform profile or a delta.  Ties are broken toward the
-    largest value at the origin, where the walk starts, then toward the
-    lexicographically largest profile.
+    L(B) is an infimum over profiles and environments together.
+    `_reweighted` alternates the exact environment for a profile with one
+    inverse-iteration step of the profile for that environment: iteratively
+    reweighted least squares for the l**p sum, where a step that lowers the
+    weighted Rayleigh quotient is all the majorization needs.  All starts run
+    together, one matrix row each, and each profile step is one batched
+    linear solve.  The final minimum scores the starts themselves too, so the
+    result is never worse than the uniform profile or a delta.  Ties are
+    broken toward the largest value at the origin, where the walk starts,
+    then toward the lexicographically largest profile.
     """
     p = exponent(eta)
     n = dom.n_sites

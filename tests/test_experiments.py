@@ -234,6 +234,28 @@ def test_ldp_huge_delta_reduces_to_survival():
     assert rows[0]["log_estimate"] == rows[1]["log_estimate"]
 
 
+def test_ldp_slack_skips_a_delta_with_no_hits():
+    # no walker lands within 0.001 of g*^2: that row's log-estimate is -inf, and
+    # taken as the slack it made the slack inf, so the check could not fail.
+    # Deltas draw no random numbers, so the run matches one without that delta
+    doc = {
+        "domain": {"type": "sites", "d": 1, "sites": [[0], [1]]},
+        "law": {"eta": 1.5, "D": 1.0},
+        "times": [16.0],
+        "trials": 100,
+        "inner_trials": 400,
+        "seed": 1,
+    }
+    g = solve_L(ExperimentConfig.from_dict(doc).build_domain(), 1.5).minimizer
+    both = ldp_point_check(ExperimentConfig.from_dict({**doc, "deltas": [0.6, 0.001]}), g)
+    wide = ldp_point_check(ExperimentConfig.from_dict({**doc, "deltas": [0.6]}), g)
+    assert both["rows"][1]["log_estimate"] == -math.inf
+    assert both["rows"][0] == wide["rows"][0]
+    for key in ("slack", "ok"):
+        assert both["by_time"][0][key] == wide["by_time"][0][key]
+    assert both["lower_bound_ok"] == wide["lower_bound_ok"]
+
+
 def test_ldp_needs_two_trials():
     # with one field the relative standard error, and so the test's tolerance, was 0.0
     doc = {

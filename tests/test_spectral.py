@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rwrc.conductance import ConductanceField, sample_field
 from rwrc.domain import box_domain, build_domain
-from rwrc.errors import DomainMismatch, UnsupportedDomain
+from rwrc.errors import DomainMismatch, NonConvergence, UnsupportedDomain
 from rwrc.profiles import ProbabilityProfile
 from rwrc.rates import dv_rate_I
 from rwrc.spectral import (
@@ -17,6 +17,7 @@ from rwrc.spectral import (
     eigen_tail,
     sandwich_check,
     semigroup_nonexit,
+    solve,
 )
 from rwrc.tail_law import TailLaw, cdf, sample
 from rwrc.transforms import log_pair_sum_tail
@@ -163,6 +164,18 @@ def test_lambda1_nondecreasing_in_each_weight(f, data):
     op = assemble(f, dom)
     lam_raised = eigen(assemble(ConductanceField(dom, raised), dom))[0][0]
     assert lam_raised >= eigen(op)[0][0] - 1e-12 * np.linalg.norm(op.matrix)
+
+
+def test_solve_takes_a_stack_and_maps_a_singular_matrix_to_nonconvergence():
+    dom = box_domain(2, 1)
+    w = np.random.default_rng(3).uniform(0.5, 2.0, (4, dom.n_edges))
+    a = dirichlet_matrix(dom, w)
+    b = np.random.default_rng(4).random((4, dom.n_sites, 1))
+    x = solve(a, b)
+    for k in range(4):
+        assert np.allclose(a[k] @ x[k], b[k], rtol=0.0, atol=1e-12)
+    with pytest.raises(NonConvergence, match="linear solve"):
+        solve(np.zeros((2, 3, 3)), np.ones((2, 3, 1)))
 
 
 def test_semigroup_values():

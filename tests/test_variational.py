@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwrc.conductance import ConductanceField
 from rwrc.domain import box_domain, build_domain
@@ -9,7 +11,7 @@ import rwrc.variational as variational
 from rwrc.errors import DomainTooLarge, NonPositiveArgument
 from rwrc.profiles import ProbabilityProfile, edge_differences, uniform_profile
 from rwrc.rates import joint_rate_J, k_const
-from rwrc.spectral import assemble, eigen
+from rwrc.spectral import assemble, dirichlet_matrix, eigen
 from rwrc.tail_law import TailLaw
 from rwrc.variational import (
     DECREASE_TOL, KAPPAS, MAX_ITER, RESTARTS, SEED, brute_force_L, exponent, objective, solve_L,
@@ -18,6 +20,25 @@ from rwrc.variational import (
 
 def chain(n):
     return build_domain([[i] for i in range(n)], 1)
+
+
+def continuum_constant(eta):
+    """C_p = min over phi on [-1, 1], phi(+-1) = 0, of int |phi'|**p / (int phi**2)**(p/2).
+
+    The l**p - l**2 Poincare constant of an interval.  The Euler-Lagrange
+    equation -(|phi'|**(p-2) phi')' = mu phi has the first integral
+    ((p-1)/p)|phi'|**p + mu phi**2/2 = const, and the half-length and int phi**2
+    are two Beta integrals: C_p = (2(p-1)/p) 2**-p B1**p (2 B3/B1)**(1-p/2),
+    B1 = B(1/2, 1-1/p), B3 = B(3/2, 1-1/p).  For p > 1 (eta > 1) smooth profiles
+    win on long chains, and L(box1d:R) (R+1)**(3p/2-1) tends to C_p.
+    """
+    p = exponent(eta)
+
+    def beta(a, b):
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+    b1, b3 = beta(0.5, 1.0 - 1.0 / p), beta(1.5, 1.0 - 1.0 / p)
+    return (2.0 * (p - 1.0) / p) * 2.0**-p * b1**p * (2.0 * b3 / b1) ** (1.0 - p / 2.0)
 
 
 def test_objective_values():
@@ -209,7 +230,8 @@ def reference_alternation(dom, g, p):
         stopped = False
         for _ in range(MAX_ITER):
             w = (u * u + kap * kap) ** (p / 2.0 - 1.0)
-            g = np.abs(np.linalg.eigh((mat * w) @ mat.T)[1][:, 0])
+            g = np.linalg.solve((mat * w) @ mat.T, g)
+            g = g / np.sqrt(np.sum(g * g))
             steps += 1
             u = g @ mat
             fn = np.sum((u * u + kap * kap) ** (p / 2.0))
@@ -282,19 +304,58 @@ def test_solver_counts_restarts_converged_at_the_last_level():
 
 
 @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
-def test_solver_eigh_calls_are_per_step_not_per_restart(monkeypatch, eta):
-    # each eigen-step solves every live restart in one call on a stack of matrices
+def test_solver_solve_calls_are_per_step_not_per_restart(monkeypatch, eta):
+    # each profile step solves every live restart in one call on a stack of systems
     sizes = []
-    eigh = variational.eigh
+    solve = variational.solve
 
-    def counted(a):
+    def counted(a, b):
         sizes.append(a.shape[0])
-        return eigh(a)
+        return solve(a, b)
 
-    monkeypatch.setattr(variational, "eigh", counted)
+    monkeypatch.setattr(variational, "solve", counted)
     res = solve_L(box_domain(1, 1), eta)
     assert sizes[0] == RESTARTS and sum(sizes) == res.iterations
     assert len(sizes) <= len(KAPPAS) * MAX_ITER
+
+
+@st.composite
+def _grown_domains(draw):
+    """A connected domain of 1 to 16 sites, grown from the origin one neighbour at a time."""
+    d = draw(st.integers(1, 3))
+    sites = [(0,) * d]
+    for _ in range(draw(st.integers(0, 15))):
+        base = draw(st.sampled_from(sites))
+        axis = draw(st.integers(0, d - 1))
+        step = draw(st.sampled_from((-1, 1)))
+        site = tuple(x + step * (i == axis) for i, x in enumerate(base))
+        if site not in sites:
+            sites.append(site)
+    return build_domain(sites, d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_inverse_iteration_step_keeps_a_profile_and_lowers_the_rayleigh_quotient(data):
+    # the solver's profile step: A is a nonsingular M-matrix, so A^{-1} g >= 0 for
+    # g >= 0, and one inverse-iteration step does not raise the Rayleigh quotient
+    dom = data.draw(_grown_domains())
+    w = 10.0 ** np.array(data.draw(st.lists(
+        st.floats(-3.0, 3.0), min_size=dom.n_edges, max_size=dom.n_edges)))
+    g = np.array(data.draw(st.lists(
+        st.floats(0.0, 1.0), min_size=dom.n_sites, max_size=dom.n_sites)))
+    g[data.draw(st.integers(0, dom.n_sites - 1))] += 1.0
+    g /= np.sqrt(np.sum(g * g))
+    x = variational.solve(dirichlet_matrix(dom, w), g)
+    x /= np.sqrt(np.sum(x * x))
+    assert np.all(x >= 0.0)
+
+    # v^T A v as the edge sum of w_e (grad_e v)**2: its terms are all >= 0, where
+    # v @ A @ v cancels and, with weights six decades apart, rounds to ~1e-10
+    def quad(v):
+        return np.sum(w * edge_differences(dom, v) ** 2)
+
+    assert quad(x) <= quad(g) * (1.0 + 1e-12)
 
 
 def test_solver_keeps_an_exact_start_that_ties():
@@ -332,6 +393,17 @@ def test_solver_chain_closed_form_at_eta_one():
 def test_solver_converges_on_box1d_8(eta, want):
     # the smoothed projected gradient solver raised NonConvergence here
     assert solve_L(box_domain(1, 8), eta).value == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("eta", [1.5, 2.0, 3.0])
+def test_solver_approaches_the_continuum_limit_on_chains(eta):
+    # a profile a*phi(x/(R+1)) scores (R+1)**(1-3p/2) * C_p to O(R**-2); measured
+    # gaps to C_p at R = 16 are 0.059%, 0.054% and 0.056% at eta = 1.5, 2 and 3
+    p = exponent(eta)
+    scaled = [solve_L(box_domain(1, r), eta).value * (r + 1) ** (1.5 * p - 1.0)
+              for r in (2, 4, 8, 16)]
+    assert all(a < b for a, b in zip(scaled, scaled[1:])), scaled
+    assert scaled[-1] == pytest.approx(continuum_constant(eta), rel=1e-3)
 
 
 def test_solver_never_above_a_delta_on_box2d_4():
