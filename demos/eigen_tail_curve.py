@@ -6,9 +6,8 @@
 import numpy as np
 
 from rwrc.domain import box_domain, build_domain
-from rwrc.spectral import assemble, eigen, eigen_tail
-from rwrc.conductance import sample_field
-from rwrc.tail_law import TailLaw
+from rwrc.spectral import eigen_tail, spectra
+from rwrc.tail_law import TailLaw, sample
 
 law = TailLaw(1.0, 1.0)
 single = box_domain(1, 0)
@@ -30,7 +29,8 @@ for a, b in zip(pts, ref):
 # two sites: no closed form, sample the spectrum directly
 dom = build_domain([(0,), (1,)], 1)
 rng = np.random.default_rng(13)
-lam = np.array([eigen(assemble(sample_field(law, dom, rng), dom))[0][0] for _ in range(20000)])
+w = sample(law, rng, (20000, dom.n_edges))
+lam = np.concatenate([lam[:, 0] for lam, _ in spectra(dom, w)])
 print("\n2-site domain, smallest eigenvalue over 20000 fields:")
 for eps in (0.5, 1.0, 1.5):
     p = (lam <= eps).mean()

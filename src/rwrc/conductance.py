@@ -32,15 +32,23 @@ class ConductanceField:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != self.domain.n_edges:
-            raise FieldMismatch(
-                f"field has {w.shape[0]} weights for a domain with {self.domain.n_edges} edges"
-            )
-        if not (w.min() > 0.0 and w.max() < np.inf):  # also false for NaN
-            raise NonPositiveWeight("edge weights must be strictly positive and finite")
+        w = conductance(self.domain, np.array(self.weights, dtype=float).reshape(-1))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+
+def conductance(dom: Domain, w: np.ndarray) -> np.ndarray:
+    """The field rule on a nonempty float array of one field's weights, or a
+    stack of them, edges on the last axis: raise FieldMismatch unless that
+    axis has dom.n_edges entries and NonPositiveWeight unless every weight is
+    strictly positive and finite; return w."""
+    if w.shape[-1] != dom.n_edges:
+        raise FieldMismatch(
+            f"field has {w.shape[-1]} weights for a domain with {dom.n_edges} edges"
+        )
+    if not (w.min() > 0.0 and w.max() < np.inf):  # also false for NaN
+        raise NonPositiveWeight("edge weights must be strictly positive and finite")
+    return w
 
 
 def sample_field(law: TailLaw, dom: Domain, rng: np.random.Generator) -> ConductanceField:

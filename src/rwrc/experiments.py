@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import numbers
 import os
 import re
@@ -41,7 +42,7 @@ from .errors import (
 from .girsanov import girsanov_log_density
 from .profiles import ProbabilityProfile
 from .rates import joint_rate_J, k_const
-from .spectral import eigen_tail, semigroup_nonexit
+from .spectral import eigen_tail, nonexit_stack
 from .tail_law import TailLaw, log_density, quantile, sample
 from .transforms import log_laplace_transform
 from .variational import brute_force_L, solve_L
@@ -203,10 +204,7 @@ def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     rng = _require_rng(config)
     out = []
     for t in config.times:
-        weights = sample(law, rng, (config.trials, dom.n_edges))
-        probs = np.array(
-            [semigroup_nonexit(ConductanceField(dom, w), dom, t) for w in weights]
-        )
+        probs = nonexit_stack(dom, sample(law, rng, (config.trials, dom.n_edges)), t)
         est = float(np.mean(probs))
         se = float(np.std(probs, ddof=1) / np.sqrt(config.trials))
         log_est = float(np.log(est)) if est > 0 else float("-inf")
@@ -284,11 +282,8 @@ def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
         ess = _ess(logw)
         if ess < 10.0:
             raise DegenerateWeights(f"effective sample size {ess:.2f} is below 10")
-        logp = np.full(config.trials, -np.inf)
-        for i in range(config.trials):
-            p = semigroup_nonexit(ConductanceField(dom, x[i]), dom, t)
-            if p > 0:
-                logp[i] = np.log(p)
+        with np.errstate(divide="ignore"):  # -inf where p = 0
+            logp = np.log(nonexit_stack(dom, x, t))
         integrand_ess = _ess(logw + logp)
         # not >= rather than <: a nan from all -inf terms fails the gate too
         if not integrand_ess >= 10.0:
@@ -627,13 +622,30 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
+def _null_nonfinite(value):
+    """A JSON document with every nan or infinite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    return value
+
+
+def _write_json(doc: dict, fh) -> None:
+    """Strict JSON: a non-finite float (a delta with no hits has a -inf
+    log-estimate) is written as null, not as the non-JSON -Infinity or NaN."""
+    json.dump(_null_nonfinite(doc), fh, indent=2, allow_nan=False)
+
+
 def run_cli(argv) -> int:
     """Entry point; returns 0 on success, 1 on invalid input, 2 on numerical failure.
 
     A dict body is written as JSON with the config, version and wall time
-    merged in.  A list body is written as CSV rows and a str body as is; both
-    get a ``<stem>.summary.json`` sidecar with that metadata and the runner's
-    extras.
+    merged in, a non-finite float as null.  A list body is written as CSV rows
+    and a str body as is; both get a ``<stem>.summary.json`` sidecar with that
+    metadata and the runner's extras.
     """
     from . import __version__
 
@@ -654,7 +666,7 @@ def run_cli(argv) -> int:
         }
         with open(out, "w", newline="") as fh:
             if isinstance(body, dict):
-                json.dump({**body, **meta}, fh, indent=2)
+                _write_json({**body, **meta}, fh)
             elif isinstance(body, list):
                 csv.writer(fh).writerows(body)
             else:
@@ -662,7 +674,7 @@ def run_cli(argv) -> int:
         if not isinstance(body, dict):
             stem = os.path.splitext(out)[0] if out.endswith((".csv", ".json")) else out
             with open(stem + ".summary.json", "w") as fh:
-                json.dump({**meta, **extras}, fh, indent=2)
+                _write_json({**meta, **extras}, fh)
         print(f"{status} -> {out}")
     except (NonConvergence, DegenerateWeights) as exc:
         print(f"rwrc: numerical failure: {exc}", file=sys.stderr)

@@ -10,25 +10,30 @@ an explicit eigenvalue sum.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conductance import ConductanceField, require_same_domain, sample_field
+from .conductance import ConductanceField, conductance, require_same_domain
 from .domain import Domain
 from .errors import (
     ArgumentOutOfRange,
     DegenerateWeights,
+    FieldMismatch,
     NonConvergence,
     UnsupportedDomain,
     require_count,
     require_positive,
     require_time,
 )
-from .tail_law import TailLaw
+from .tail_law import TailLaw, sample
 from .transforms import log_pair_sum_tail
 
 _CLAMP_TOL = 1e-10
+# rows x sites x edges of one block of a weight stack: the size of the largest
+# array `spectra` builds at once (2 MB of floats), so memory does not grow with N
+_STACK_ELEMENTS = 1 << 18
 
 
 @dataclass(eq=False)
@@ -81,19 +86,53 @@ def eigen(op: DirichletOperator) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _nonexit_from_decomposition(lam: np.ndarray, vec: np.ndarray, start: int, t: float) -> float:
-    """The eigenvalue sum, clipped to [0, 1]; a sum further out, or nan, raises NonConvergence."""
-    weights = vec[start, :] * vec.sum(axis=0)
-    val = float(np.sum(np.exp(-t * lam) * weights))
-    if not -_CLAMP_TOL <= val <= 1.0 + _CLAMP_TOL:
-        raise NonConvergence(f"non-exit probability {val!r} lies outside [0, 1]")
-    return min(max(val, 0.0), 1.0)
+def spectra(dom: Domain, weights) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``eigen``'s pair for the operator of every row of an (N, m) weight stack.
+
+    Yields the pairs of consecutive blocks of b rows stacked, (b, n) eigenvalues
+    and (b, n, n) vectors, with b * n * m at most _STACK_ELEMENTS (b = 1 where
+    one row is larger).
+    Each block is checked by the field rule of ``ConductanceField`` and
+    assembled by one ``dirichlet_matrix`` call; ``eigen`` runs once per row.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2:
+        raise FieldMismatch(f"a weight stack must be an (N, m) array, got shape {w.shape}")
+    rows = max(1, _STACK_ELEMENTS // (dom.n_sites * dom.n_edges))
+    for lo in range(0, w.shape[0], rows):
+        a = dirichlet_matrix(dom, conductance(dom, w[lo:lo + rows]))
+        lam = np.empty(a.shape[:2])
+        vec = np.empty_like(a)
+        for i in range(a.shape[0]):
+            lam[i], vec[i] = eigen(DirichletOperator(dom, a[i]))
+        yield lam, vec
+
+
+def _nonexit_sums(lam: np.ndarray, vec: np.ndarray, start, t: float) -> np.ndarray:
+    """The eigenvalue sums from ``start`` of a stack of decompositions (or, with
+    start = slice(None), from every site of one), clipped to [0, 1]; a sum
+    further out, or nan, raises NonConvergence."""
+    weights = vec[..., start, :] * vec.sum(axis=-2)
+    val = np.sum(np.exp(-t * lam) * weights, axis=-1)
+    bad = ~((val >= -_CLAMP_TOL) & (val <= 1.0 + _CLAMP_TOL))
+    if bad.any():
+        raise NonConvergence(f"non-exit probability {float(val[bad][0])!r} lies outside [0, 1]")
+    return np.clip(val, 0.0, 1.0)
+
+
+def nonexit_stack(dom: Domain, weights, t: float) -> np.ndarray:
+    """Exact probability that the walk has not exited by time t, for every row
+    of an (N, m) weight stack (see ``spectra``)."""
+    t = require_time(t)
+    sums = [_nonexit_sums(lam, vec, dom.origin_index, t) for lam, vec in spectra(dom, weights)]
+    return np.concatenate([np.empty(0), *sums])
 
 
 def semigroup_nonexit(f: ConductanceField, dom: Domain, t: float) -> float:
-    """Exact probability that the walk has not exited by time t."""
-    t = require_time(t)
-    return _nonexit_from_decomposition(*eigen(assemble(f, dom)), dom.origin_index, t)
+    """Exact probability that the walk has not exited by time t: the one-row
+    case of ``nonexit_stack``."""
+    require_same_domain(f, dom)
+    return float(nonexit_stack(dom, f.weights[None, :], t)[0])
 
 
 def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
@@ -107,8 +146,9 @@ def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
     lam, vec = eigen(assemble(f, dom))
     n = dom.n_sites
     lam1 = float(lam[0])
-    p0 = _nonexit_from_decomposition(lam, vec, dom.origin_index, t)
-    site_sum = float(sum(_nonexit_from_decomposition(lam, vec, z, t) for z in range(n)))
+    sums = _nonexit_sums(lam, vec, slice(None), t)
+    p0 = float(sums[dom.origin_index])
+    site_sum = float(sum(sums))
     principal = float(np.exp(-t * lam1))
     upper = n * n * principal
     return {
@@ -161,9 +201,8 @@ def eigen_tail(
     elif method == "mc":
         if rng is None:
             raise ArgumentOutOfRange("Monte Carlo tail estimation requires an rng")
-        lam = np.empty(require_count(n_fields, 1, "n_fields"))
-        for i in range(lam.size):
-            lam[i] = eigen(assemble(sample_field(law, dom, rng), dom))[0][0]
+        w = sample(law, rng, (require_count(n_fields, 1, "n_fields"), dom.n_edges))
+        lam = np.concatenate([lam[:, 0] for lam, _ in spectra(dom, w)])
         for eps in eps_arr:
             p = float(np.mean(lam <= eps))
             if p == 0.0:

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +256,30 @@ def test_ldp_slack_skips_a_delta_with_no_hits():
     for key in ("slack", "ok"):
         assert both["by_time"][0][key] == wide["by_time"][0][key]
     assert both["lower_bound_ok"] == wide["lower_bound_ok"]
+
+
+def readme_ldp_config() -> dict:
+    """The ldp.json block of the README's command-line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"^```json\n(.*?)^```$", readme, flags=re.M | re.S).group(1))
+
+
+def test_cli_ldp_check_writes_no_hits_as_null(tmp_path):
+    # the no-hit row's -inf log-estimate and rescaled value and its nan relative
+    # SE used to be written as -Infinity and NaN, which are not JSON
+    cfg, out = tmp_path / "ldp.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps({**readme_ldp_config(), "deltas": [0.6, 0.001]}))
+    assert run(["ldp-check", "--config", cfg, "--out", out]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    wide, narrow = doc["rows"]
+    assert narrow["delta"] == 0.001
+    assert narrow["log_estimate"] is None and narrow["rescaled"] is None
+    assert narrow["rel_se"] is None
+    assert all(isinstance(v, float) for v in wide.values())
 
 
 def test_ldp_needs_two_trials():

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwrc import spectral
 from rwrc.conductance import ConductanceField, sample_field
 from rwrc.domain import box_domain, build_domain
-from rwrc.errors import DomainMismatch, NonConvergence, UnsupportedDomain
+from rwrc.errors import (
+    DomainMismatch,
+    FieldMismatch,
+    NonConvergence,
+    NonPositiveWeight,
+    UnsupportedDomain,
+)
 from rwrc.profiles import ProbabilityProfile
 from rwrc.rates import dv_rate_I
 from rwrc.spectral import (
@@ -15,9 +22,11 @@ from rwrc.spectral import (
     dirichlet_matrix,
     eigen,
     eigen_tail,
+    nonexit_stack,
     sandwich_check,
     semigroup_nonexit,
     solve,
+    spectra,
 )
 from rwrc.tail_law import TailLaw, cdf, sample
 from rwrc.transforms import log_pair_sum_tail
@@ -275,3 +284,85 @@ def test_eigen_tail_mc_multisite():
 def test_eigen_tail_quadrature_requires_single_site():
     with pytest.raises(UnsupportedDomain):
         eigen_tail(TailLaw(1.0, 1.0), build_domain([[0], [1]], 1), [0.1], method="quadrature")
+
+
+# ---------------------------------------------------------------------------
+# the weight-stack path against the per-field one
+
+
+STACK_DOMAINS = [build_domain([[0], [1]], 1), box_domain(1, 1), box_domain(2, 1)]
+
+
+def reference_nonexit(f: ConductanceField, dom, t: float) -> float:
+    """One field at a time: one operator, one eigensolve and one scalar sum."""
+    lam, vec = eigen(assemble(f, dom))
+    val = float(np.sum(np.exp(-t * lam) * vec[dom.origin_index, :] * vec.sum(axis=0)))
+    return min(max(val, 0.0), 1.0)
+
+
+def rows_per_block(monkeypatch, dom, rows: int) -> None:
+    monkeypatch.setattr(spectral, "_STACK_ELEMENTS", rows * dom.n_sites * dom.n_edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, len(STACK_DOMAINS) - 1),
+    n=st.integers(1, 12),
+    block=st.none() | st.integers(1, 5),
+    eta=st.sampled_from([0.5, 1.0, 2.0]),
+    t=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_matches_per_field_reference(k, n, block, eta, t, seed):
+    dom = STACK_DOMAINS[k]
+    w = sample(TailLaw(eta, 1.0), np.random.default_rng(seed), (n, dom.n_edges))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            rows_per_block(mp, dom, block)
+        got = nonexit_stack(dom, w, t)
+        lam1 = np.concatenate([lam[:, 0] for lam, _ in spectra(dom, w)])
+    fields = [ConductanceField(dom, row) for row in w]
+    ref = [reference_nonexit(f, dom, t) for f in fields]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    ref_lam1 = [eigen(assemble(f, dom))[0][0] for f in fields]
+    np.testing.assert_allclose(lam1, ref_lam1, rtol=1e-12, atol=0.0)
+
+
+def test_stack_splits_into_blocks(monkeypatch):
+    dom = box_domain(2, 1)
+    w = sample(TailLaw(1.0, 1.0), np.random.default_rng(4), (10, dom.n_edges))
+    whole = nonexit_stack(dom, w, 3.0)
+    rows_per_block(monkeypatch, dom, 3)
+    assert [lam.shape[0] for lam, _ in spectra(dom, w)] == [3, 3, 3, 1]
+    assert np.array_equal(nonexit_stack(dom, w, 3.0), whole)
+    assert nonexit_stack(dom, w[:0], 3.0).shape == (0,)
+
+
+def raised_by(fn):
+    with pytest.raises((FieldMismatch, NonPositiveWeight)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("row", [0, 4, 9])
+def test_stack_with_one_bad_row_raises_what_the_field_raises(monkeypatch, bad, row):
+    dom = box_domain(1, 1)
+    w = np.ones((10, dom.n_edges))
+    w[row, 2] = bad
+    want = raised_by(lambda: ConductanceField(dom, w[row]))
+    assert want[0] is NonPositiveWeight
+    assert raised_by(lambda: nonexit_stack(dom, w, 1.0)) == want
+    rows_per_block(monkeypatch, dom, 3)  # the bad row in a later block
+    assert raised_by(lambda: nonexit_stack(dom, w, 1.0)) == want
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_stack_with_the_wrong_row_length_raises_what_the_field_raises(m):
+    dom = box_domain(1, 1)  # 4 edges
+    w = np.ones((6, m))
+    want = raised_by(lambda: ConductanceField(dom, w[0]))
+    assert want[0] is FieldMismatch
+    assert raised_by(lambda: nonexit_stack(dom, w, 1.0)) == want
+    with pytest.raises(FieldMismatch):
+        nonexit_stack(dom, np.ones(dom.n_edges), 1.0)  # one field is a (1, m) stack
