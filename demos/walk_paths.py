@@ -15,18 +15,19 @@ rng = np.random.default_rng(8)
 
 f = sample_field(law, dom, rng)
 print("edges:")
-for e, w in zip(dom.edges, f.weights):
-    other = dom.site_tuple(e.b) if e.b is not None else f"{e.b_point} (out)"
-    print(f"  {dom.site_tuple(e.a)} -- {other}  weight {w:.3f}")
+for a, b, q, w in zip(dom.edge_a, dom.edge_b, dom.edge_b_point.tolist(), f.weights):
+    other = dom.site_tuple(b) if b >= 0 else f"{tuple(q)} (out)"
+    print(f"  {dom.site_tuple(a)} -- {other}  weight {w:.3f}")
 print("site totals:", np.round(site_totals(f), 3))
 
 t = 3.0
 for k in range(4):
-    p = simulate(f, dom, t, rng)
+    p = simulate(f, t, rng)
     occ = p.occupation
     tag = "survived"
     if p.exited:
-        tag = f"exited at {p.exit_time:.3f} through {dom.edges[p.crossed[-1]].b_point}"
+        out = tuple(dom.edge_b_point[p.crossed[-1]].tolist())
+        tag = f"exited at {p.exit_time:.3f} through {out}"
     print(f"\npath {k}: {p.n_jumps} jumps, {tag}")
     print("  occupation:", np.round(occ, 3), " sum", round(occ.sum(), 12))
 
@@ -35,7 +36,7 @@ for k in range(4):
 n = 20000
 from rwrc.walk import occupation_mc
 
-exited, end, occ = occupation_mc(f, dom, t, n, rng)
+exited, end, occ = occupation_mc(f, t, n, rng)
 stay = ~exited
 print(f"\n{n} paths at t={t}: non-exit fraction {stay.mean():.4f}")
 print("mean occupation among survivors:", np.round(occ[stay].mean(axis=0) / t, 4))

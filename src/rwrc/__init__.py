@@ -17,7 +17,7 @@ from .conductance import (
     sample_field,
     site_totals,
 )
-from .domain import Domain, Edge, box_domain, build_domain
+from .domain import Domain, box_domain, build_domain
 from .errors import RwrcError
 from .experiments import (
     AnnealedEstimate,

@@ -77,10 +77,11 @@ def site_totals(f: ConductanceField) -> np.ndarray:
     return f.weights[f.domain.site_edges].sum(axis=1)
 
 
-def require_same_domain(f: ConductanceField, dom: Domain) -> None:
-    """Raise FieldMismatch unless f lives on a domain equal to dom."""
-    if f.domain is not dom and not domains_equal(f.domain, dom):
-        raise FieldMismatch("field domain does not match the requested domain")
+def require_same_domain(obj, dom: Domain) -> None:
+    """Raise FieldMismatch unless obj, anything with a ``.domain`` (a field, a
+    profile, a path), lives on a domain equal to dom."""
+    if obj.domain is not dom and not domains_equal(obj.domain, dom):
+        raise FieldMismatch(f"{type(obj).__name__} domain does not match the requested domain")
 
 
 def field_to_json(f: ConductanceField) -> str:

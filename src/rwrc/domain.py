@@ -9,6 +9,8 @@ are the boundary edges through which the walk is killed.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,20 +25,6 @@ from .errors import (
     require_count,
 )
 
-@dataclass(frozen=True)
-class Edge:
-    """Nearest-neighbour edge with at least one endpoint in the domain.
-
-    ``a`` is always a site index.  For interior edges ``b`` is the index of
-    the second endpoint.  For boundary edges ``b`` is None and ``b_point``
-    holds the exterior lattice point; exterior points carry no index because
-    the walk is killed there.
-    """
-
-    a: int
-    b: int | None
-    b_point: tuple[int, ...]
-
 
 @dataclass(eq=False)
 class Domain:
@@ -44,15 +32,18 @@ class Domain:
 
     Sites are stored in lexicographic order so edge enumeration, field
     sampling, and matrix assembly are reproducible.  Every site has exactly
-    2d incident edges.
+    2d incident edges.  Edge e joins site edge_a[e] to the lattice point
+    edge_b_point[e]: site edge_b[e] for an interior edge, an exterior point for
+    a boundary edge (edge_b[e] = -1; the walk is killed there, so it carries no
+    index).
     """
 
     d: int
     sites: np.ndarray            # (n, d) int64, lexicographically sorted
     origin_index: int
-    edges: list[Edge]
     edge_a: np.ndarray           # (m,) first endpoint, always a site index
     edge_b: np.ndarray           # (m,) second endpoint index, -1 if exterior
+    edge_b_point: np.ndarray     # (m, d) lattice point of the second endpoint
     site_edges: np.ndarray       # (n, 2d) incident edge indices
     site_nbrs: np.ndarray        # (n, 2d) neighbour site index, -1 if exterior
 
@@ -80,7 +71,9 @@ class Domain:
 
 
 def _coord(c) -> int:
-    if isinstance(c, (bool, np.bool_)) or c != int(c):
+    if isinstance(c, (bool, np.bool_)) or not (
+        isinstance(c, numbers.Real) and math.isfinite(c) and c == int(c)
+    ):
         raise DimensionMismatch(f"coordinate {c!r} is not an integer")
     return int(c)
 
@@ -88,8 +81,10 @@ def _coord(c) -> int:
 def _normalize_point(p, d: int) -> tuple[int, ...]:
     if isinstance(p, (int, np.integer)) and not isinstance(p, (bool, np.bool_)):
         tp = (int(p),)
-    else:
+    elif isinstance(p, (list, tuple, np.ndarray)):
         tp = tuple(_coord(c) for c in p)
+    else:
+        raise DimensionMismatch(f"site {p!r} is not a sequence of coordinates")
     if len(tp) != d:
         raise DimensionMismatch(f"site {tp} has dimension {len(tp)}, expected {d}")
     return tp
@@ -144,7 +139,9 @@ def build_domain(points, d: int) -> Domain:
         raise DisconnectedDomain(f"site {missing} is not connected to the origin")
 
     n = len(pts)
-    edges: list[Edge] = []
+    edge_a: list[int] = []
+    edge_b: list[int] = []
+    b_points: list[tuple[int, ...]] = []
     site_edges = np.full((n, 2 * d), -1, dtype=np.int64)
     site_nbrs = np.full((n, 2 * d), -1, dtype=np.int64)
     slot = np.zeros(n, dtype=np.int64)
@@ -158,28 +155,24 @@ def build_domain(points, d: int) -> Domain:
     for i, tp in enumerate(pts):
         for off in offsets:
             q = tuple(c + o for c, o in zip(tp, off))
-            j = index.get(q)
-            if j is None:
-                eidx = len(edges)
-                edges.append(Edge(i, None, q))
-                _attach(i, eidx, -1)
-            elif j > i:
-                eidx = len(edges)
-                edges.append(Edge(i, j, q))
-                _attach(i, eidx, j)
-                _attach(j, eidx, i)
-            # j < i: edge was created while scanning site j
+            j = index.get(q, -1)
+            if j < 0 or j > i:
+                _attach(i, len(edge_a), j)
+                if j >= 0:
+                    _attach(j, len(edge_a), i)
+                edge_a.append(i)
+                edge_b.append(j)
+                b_points.append(q)
+            # 0 <= j < i: edge was created while scanning site j
 
-    edge_a = np.array([e.a for e in edges], dtype=np.int64)
-    edge_b = np.array([-1 if e.b is None else e.b for e in edges], dtype=np.int64)
-    sites = np.array(pts, dtype=np.int64).reshape(n, d)
+    m = len(edge_a)
     return Domain(
         d=d,
-        sites=sites,
+        sites=np.array(pts, dtype=np.int64).reshape(n, d),
         origin_index=index[origin],
-        edges=edges,
-        edge_a=edge_a,
-        edge_b=edge_b,
+        edge_a=np.array(edge_a, dtype=np.int64),
+        edge_b=np.array(edge_b, dtype=np.int64),
+        edge_b_point=np.array(b_points, dtype=np.int64).reshape(m, d),
         site_edges=site_edges,
         site_nbrs=site_nbrs,
     )

@@ -59,7 +59,7 @@ class InvalidProfile(RwrcError):
 
 
 class FieldMismatch(DomainMismatch):
-    """A field's domain differs from the one an operation was given."""
+    """A field, or another object on a domain, does not fit the domain an operation was given."""
 
 
 class EpsilonTooLarge(RwrcError):

@@ -25,12 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conductance import ConductanceField, field_to_json, optimal_profile, sample_field
-from .domain import Domain, box_domain, build_domain, domains_equal
+from .conductance import (
+    ConductanceField,
+    field_to_json,
+    optimal_profile,
+    require_same_domain,
+    sample_field,
+)
+from .domain import Domain, box_domain, build_domain
 from .errors import (
     ArgumentOutOfRange,
     DegenerateWeights,
-    DomainMismatch,
     DomainTooLarge,
     NonConvergence,
     RwrcError,
@@ -145,7 +150,10 @@ def domain_from_spec(spec: dict) -> Domain:
     if kind == "box":
         return box_domain(spec.get("d", 1), spec.get("half_width", 0))
     if kind == "sites":
-        return build_domain(spec["sites"], spec["d"])
+        sites = spec["sites"]
+        if not isinstance(sites, list):
+            raise ArgumentOutOfRange(f"sites must be a list of sites, got {sites!r}")
+        return build_domain(sites, spec["d"])
     raise UnsupportedDomain(f"unknown domain type {kind!r}")
 
 
@@ -349,8 +357,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     dom = config.build_domain()
     if dom.n_sites > 3:
         raise DomainTooLarge("profile tracking check supports at most 3 sites")
-    if g.domain is not dom and not domains_equal(g.domain, dom):
-        raise DomainMismatch("profile domain does not match the config domain")
+    require_same_domain(g, dom)
     law = config.law()
     rng = _require_rng(config)
     j_val = joint_rate_J(g, law)
@@ -367,7 +374,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
         fracs = np.zeros((len(deltas), config.trials))
         for i in range(config.trials):
             f = ConductanceField(dom, x[i])
-            exited, _, occ = occupation_mc(f, dom, t, config.inner_trials, rng)
+            exited, _, occ = occupation_mc(f, t, config.inner_trials, rng)
             dist = np.linalg.norm(occ / t - g2[None, :], axis=1)
             for k, delta in enumerate(deltas):
                 fracs[k, i] = np.mean(~exited & (dist <= delta))
@@ -418,33 +425,33 @@ def _require_rng(config: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(config.seed)
 
 
-def _run_sample_field(args, config: ExperimentConfig, law: TailLaw):
+def _run_sample_field(args, config: ExperimentConfig):
     dom = config.build_domain()
-    f = sample_field(law, dom, _require_rng(config))
+    f = sample_field(config.law(), dom, _require_rng(config))
     status = f"sample-field: {dom.n_edges} weights"
     return "field.json", field_to_json(f), {"n_edges": dom.n_edges}, status, 0
 
 
-def _run_simulate(args, config: ExperimentConfig, law: TailLaw):
+def _run_simulate(args, config: ExperimentConfig):
     dom = config.build_domain()
     rng = _require_rng(config)
-    f = sample_field(law, dom, rng)
+    f = sample_field(config.law(), dom, rng)
     t = config.times[0]
-    p = simulate(f, dom, t, rng)
+    p = simulate(f, t, rng)
     header = ["step", "time"] + [f"x{i}" for i in range(dom.d)]
     rows = [header, [0, 0.0, *dom.site_tuple(dom.origin_index)]]
     for i in range(p.n_jumps):
         rows.append([i + 1, p.jump_times[i], *dom.site_tuple(int(p.sites[i + 1]))])
     if p.exited:
-        rows.append([p.n_jumps + 1, p.exit_time, *dom.edges[p.crossed[-1]].b_point])
+        rows.append([p.n_jumps + 1, p.exit_time, *dom.edge_b_point[p.crossed[-1]].tolist()])
     status = f"exited at {p.exit_time:.6g}" if p.exited else f"survived to {t:g}"
     status = f"simulate: {p.n_jumps} jumps, {status}"
     return "path.csv", rows, {"exited": p.exited, "jumps": p.n_jumps}, status, 0
 
 
-def _run_solve_variational(args, config: ExperimentConfig, law: TailLaw):
+def _run_solve_variational(args, config: ExperimentConfig):
     dom = config.build_domain()
-    res = solve_L(dom, law.eta)
+    res = solve_L(dom, config.eta)
     doc = {
         "L": res.value,
         "minimizer": res.minimizer.values.tolist(),
@@ -454,16 +461,16 @@ def _run_solve_variational(args, config: ExperimentConfig, law: TailLaw):
         "converged_restarts": res.converged_restarts,
     }
     if args.brute_force:
-        doc["brute_force_L"] = brute_force_L(dom, law.eta).value
+        doc["brute_force_L"] = brute_force_L(dom, config.eta).value
     return "variational.json", doc, {}, f"solve-variational: L={res.value:.9g}", 0
 
 
-def _run_nonexit(args, config: ExperimentConfig, law: TailLaw):
+def _run_nonexit(args, config: ExperimentConfig):
     if args.method == "quadrature":
         dom = config.build_domain()
         if dom.n_sites != 1 or dom.d != 1:
             raise UnsupportedDomain("quadrature non-exit requires the single-site domain in d=1")
-        estimates = [annealed_nonexit_quadrature(law, t) for t in config.times]
+        estimates = [annealed_nonexit_quadrature(config.law(), t) for t in config.times]
     elif args.method == "mc":
         estimates = annealed_nonexit_mc(config)
     else:
@@ -475,35 +482,37 @@ def _run_nonexit(args, config: ExperimentConfig, law: TailLaw):
     return "nonexit.csv", rows, {"rows": len(estimates)}, status, 0
 
 
-def _run_eigen_tail(args, config: ExperimentConfig, law: TailLaw):
+def _run_eigen_tail(args, config: ExperimentConfig):
     dom = config.build_domain()
     eps_list = _parse_grid(args.eps, "--eps")
     rng = _require_rng(config) if args.method == "mc" else None
-    points = eigen_tail(law, dom, eps_list, method=args.method, n_fields=config.trials, rng=rng)
+    points = eigen_tail(
+        config.law(), dom, eps_list, method=args.method, n_fields=config.trials, rng=rng
+    )
     rows = [["eps", "prob", "log_prob", "eps_eta_log_prob"]]
     rows += [[pt.eps, pt.prob, pt.log_prob, pt.scaled_log] for pt in points]
     status = f"eigen-tail[{args.method}]: eps={points[-1].eps:g} scaled={points[-1].scaled_log:.6g}"
     return "eigen_tail.csv", rows, {"rows": len(points)}, status, 0
 
 
-def _run_tauberian(args, config: ExperimentConfig, law: TailLaw):
-    points = tauberian_check(law, args.m_const, config.times)
+def _run_tauberian(args, config: ExperimentConfig):
+    points = tauberian_check(config.law(), args.m_const, config.times)
     rows = [["t", "value", "target"]] + [[p.t, p.value, p.target] for p in points]
     pt = points[-1]
     status = f"tauberian: M={args.m_const:g} t={pt.t:g} value={pt.value:.6g} target={pt.target:.6g}"
     return "tauberian.csv", rows, {"rows": len(points)}, status, 0
 
 
-def _run_ldp_check(args, config: ExperimentConfig, law: TailLaw):
+def _run_ldp_check(args, config: ExperimentConfig):
     dom = config.build_domain()
-    g = solve_L(dom, law.eta).minimizer
+    g = solve_L(dom, config.eta).minimizer
     report = ldp_point_check(config, g)
     status = "ok" if report["lower_bound_ok"] else "violated"
     status = f"ldp-check: rate={report['rate_value']:.6g} lower bound {status}"
     return "ldp_check.json", report, {}, status, 0 if report["lower_bound_ok"] else 2
 
 
-def _run_girsanov_test(args, config: ExperimentConfig, law: TailLaw):
+def _run_girsanov_test(args, config: ExperimentConfig):
     lo, hi = args.lo, args.hi
     if not (0 < lo <= hi):
         raise ArgumentOutOfRange("the target band must satisfy 0 < lo <= hi")
@@ -519,7 +528,7 @@ def _run_girsanov_test(args, config: ExperimentConfig, law: TailLaw):
     antisym_err = 0.0
     check_paths = min(200, config.trials)
     for i in range(config.trials):
-        p = simulate(psi, dom, t, rng)
+        p = simulate(psi, t, rng)
         lp = girsanov_log_density(p, phi, psi)
         vals[i] = np.exp(lp)
         if i < check_paths:
@@ -601,12 +610,12 @@ def _config_from_args(args) -> ExperimentConfig:
     doc = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
-    doc.setdefault("law", {})
+            doc = _mapping(json.load(fh), "config")
+    law = _mapping(doc.setdefault("law", {}), "law")
     if args.eta is not None:
-        doc["law"]["eta"] = args.eta
+        law["eta"] = args.eta
     if args.dcoef is not None:
-        doc["law"]["D"] = args.dcoef
+        law["D"] = args.dcoef
     if args.domain is not None:
         doc["domain"] = parse_domain_arg(args.domain)
     if args.t is not None:
@@ -657,7 +666,7 @@ def run_cli(argv) -> int:
     started = _time.monotonic()
     try:
         config = _config_from_args(args)
-        default, body, extras, status, code = COMMANDS[args.command][1](args, config, config.law())
+        default, body, extras, status, code = COMMANDS[args.command][1](args, config)
         out = config.out or default
         meta = {
             "config": config.to_dict(),

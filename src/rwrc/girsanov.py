@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .conductance import ConductanceField, require_same_domain
-from .domain import Domain
 from .errors import (
     ArgumentOutOfRange,
     DomainMismatch,
@@ -40,18 +39,16 @@ def reweighted_probability(
     event,
     phi: ConductanceField,
     psi: ConductanceField,
-    dom: Domain,
     t: float,
     n: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Estimate P(event) under phi by simulating under psi and reweighting."""
     n = require_count(n, 2, "n_paths")
-    require_same_domain(phi, dom)
-    require_same_domain(psi, dom)
+    require_same_domain(phi, psi.domain)
     vals = np.empty(n)
     for i in range(n):
-        p = simulate(psi, dom, t, rng)
+        p = simulate(psi, t, rng)
         if event(p):
             vals[i] = np.exp(girsanov_log_density(p, phi, psi))
         else:
@@ -68,7 +65,6 @@ def nonexit_event(p: PathRecord) -> bool:
 def comparison_bound_check(
     psi: ConductanceField,
     eps: float,
-    dom: Domain,
     t: float,
     n_fields: int,
     rng: np.random.Generator,
@@ -84,7 +80,7 @@ def comparison_bound_check(
     estimates of an arbitrary path event and violations are flagged beyond
     three joint standard errors.
     """
-    require_same_domain(psi, dom)
+    dom = psi.domain
     eps = require_positive(eps, "eps")
     n_fields = require_count(n_fields, 1, "n_fields")
     if eps >= float(np.min(psi.weights)):
@@ -94,16 +90,16 @@ def comparison_bound_check(
     factor = float(np.exp(-4.0 * dom.d * eps * t))
     lowered = ConductanceField(dom, psi.weights - eps)
     if method == "exact":
-        base, base_se = semigroup_nonexit(lowered, dom, t), 0.0
+        base, base_se = semigroup_nonexit(lowered, t), 0.0
         w = psi.weights + eps * (2.0 * rng.random((n_fields, dom.n_edges)) - 1.0)
         lhs, lhs_se = nonexit_stack(dom, w, t), 0.0
     elif method == "mc":
         event = nonexit_event if event is None else event
-        base, base_se = _event_mc(event, lowered, dom, t, n_paths, rng)
+        base, base_se = _event_mc(event, lowered, t, n_paths, rng)
         lhs, lhs_se = np.empty(n_fields), np.empty(n_fields)
         for i in range(n_fields):
             w = psi.weights + eps * (2.0 * rng.random(dom.n_edges) - 1.0)
-            lhs[i], lhs_se[i] = _event_mc(event, ConductanceField(dom, w), dom, t, n_paths, rng)
+            lhs[i], lhs_se[i] = _event_mc(event, ConductanceField(dom, w), t, n_paths, rng)
     else:
         raise ArgumentOutOfRange(f"unknown method {method!r}")
     margins = lhs - factor * base
@@ -121,15 +117,13 @@ def comparison_bound_check(
     }
 
 
-def _event_mc(event, f, dom, t, n, rng) -> tuple[float, float]:
+def _event_mc(event, f, t, n, rng) -> tuple[float, float]:
     n = require_count(n, 2, "n_paths")
-    p = sum(bool(event(simulate(f, dom, t, rng))) for _ in range(n)) / n
+    p = sum(bool(event(simulate(f, t, rng))) for _ in range(n)) / n
     return float(p), float(np.sqrt(p * (1.0 - p) / n))
 
 
-def feynman_kac_upper_bound(
-    f_test, phi: ConductanceField, dom: Domain, masses, t: float
-) -> float:
+def feynman_kac_upper_bound(f_test, phi: ConductanceField, masses, t: float) -> float:
     """Upper bound on the probability that the occupation measure lies in a set.
 
     For a positive test function f on the domain (zero outside) the bound is
@@ -139,7 +133,7 @@ def feynman_kac_upper_bound(
     array of per-site mass vectors (a point is one row, a box its 2**n
     corners), so the supremum of this linear functional is a maximum over rows.
     """
-    require_same_domain(phi, dom)
+    dom = phi.domain
     t = require_time(t)
     f = np.asarray(f_test, dtype=float).reshape(-1)
     if f.shape[0] != dom.n_sites:
@@ -152,6 +146,6 @@ def feynman_kac_upper_bound(
     if h.shape[1] != dom.n_sites:
         raise DomainMismatch("mass vector length does not match the domain")
     # (Lf/f) with the generator L = -M diag(w) M^T, f extended by zero outside the domain
-    coeff = -(assemble(phi, dom).matrix @ f) / f
+    coeff = -(assemble(phi).matrix @ f) / f
     origin = dom.origin_index
     return float(f[origin] / np.min(f) * np.exp(t * np.max(h @ coeff)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conductance import ConductanceField, conductance, require_same_domain
+from .conductance import ConductanceField, conductance
 from .domain import Domain
 from .errors import (
     ArgumentOutOfRange,
@@ -38,7 +38,6 @@ _STACK_ELEMENTS = 1 << 18
 
 @dataclass(eq=False)
 class DirichletOperator:
-    domain: Domain
     matrix: np.ndarray
 
 
@@ -48,9 +47,8 @@ def dirichlet_matrix(dom: Domain, w: np.ndarray) -> np.ndarray:
     return (mat * w[..., None, :]) @ mat.T
 
 
-def assemble(f: ConductanceField, dom: Domain) -> DirichletOperator:
-    require_same_domain(f, dom)
-    return DirichletOperator(dom, dirichlet_matrix(dom, f.weights))
+def assemble(f: ConductanceField) -> DirichletOperator:
+    return DirichletOperator(dirichlet_matrix(f.domain, f.weights))
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +102,7 @@ def spectra(dom: Domain, weights) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         lam = np.empty(a.shape[:2])
         vec = np.empty_like(a)
         for i in range(a.shape[0]):
-            lam[i], vec[i] = eigen(DirichletOperator(dom, a[i]))
+            lam[i], vec[i] = eigen(DirichletOperator(a[i]))
         yield lam, vec
 
 
@@ -128,14 +126,13 @@ def nonexit_stack(dom: Domain, weights, t: float) -> np.ndarray:
     return np.concatenate([np.empty(0), *sums])
 
 
-def semigroup_nonexit(f: ConductanceField, dom: Domain, t: float) -> float:
+def semigroup_nonexit(f: ConductanceField, t: float) -> float:
     """Exact probability that the walk has not exited by time t: the one-row
     case of ``nonexit_stack``."""
-    require_same_domain(f, dom)
-    return float(nonexit_stack(dom, f.weights[None, :], t)[0])
+    return float(nonexit_stack(f.domain, f.weights[None, :], t)[0])
 
 
-def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
+def sandwich_check(f: ConductanceField, t: float) -> dict:
     """Two-sided control of the non-exit probability by the principal eigenvalue.
 
     Checks p0 <= |B|**2 * exp(-t*lambda1) and exp(-t*lambda1) <= sum over
@@ -143,7 +140,8 @@ def sandwich_check(f: ConductanceField, dom: Domain, t: float) -> dict:
     nonnegative up to rounding.
     """
     t = require_time(t)
-    lam, vec = eigen(assemble(f, dom))
+    dom = f.domain
+    lam, vec = eigen(assemble(f))
     n = dom.n_sites
     lam1 = float(lam[0])
     sums = _nonexit_sums(lam, vec, slice(None), t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conductance import ConductanceField, require_same_domain, site_totals
+from .conductance import ConductanceField, site_totals
 from .domain import Domain
 from .errors import require_count, require_time
 
@@ -29,8 +29,8 @@ class PathRecord:
     increasing and bounded by the horizon (by the exit time if the walk
     exited).  ``occupation`` is the time spent at each site up to
     ``end_time``, and ``crossed`` lists the traversed edges: the jump edges,
-    then the exit edge if the walk exited, whose ``b_point`` is the exterior
-    endpoint.
+    then the exit edge if the walk exited, whose ``edge_b_point`` row is the
+    exterior endpoint.
     """
 
     domain: Domain
@@ -100,19 +100,14 @@ def _walk_tables(f: ConductanceField) -> _WalkTables:
     return tables
 
 
-def simulate(
-    f: ConductanceField,
-    dom: Domain,
-    t: float,
-    rng: np.random.Generator,
-) -> PathRecord:
+def simulate(f: ConductanceField, t: float, rng: np.random.Generator) -> PathRecord:
     """Run one path from the origin until it exits or reaches the horizon t.
 
     Local times are booked as the walk runs: each holding interval is added
     to its site in path order, the arithmetic of differencing the jump times.
     """
     t = require_time(t)
-    require_same_domain(f, dom)
+    dom = f.domain
     rates, cum, site_edges, site_nbrs = _walk_tables(f).lists
     exponential, uniform = rng.standard_exponential, rng.random
     site = dom.origin_index
@@ -154,8 +149,8 @@ def simulate(
 
 def _simulate_batch(
     f: ConductanceField,
-    dom: Domain,
     t: float,
+    *,
     n: int,
     rng: np.random.Generator,
     want_occupation: bool,
@@ -174,7 +169,7 @@ def _simulate_batch(
     first column above the draw.  Each walker's holding intervals are added
     to its occupation in step order.
     """
-    require_same_domain(f, dom)
+    dom = f.domain
     tables = _walk_tables(f)
     rates, columns = tables.rates, tables.columns
     n_sites, deg = dom.site_nbrs.shape
@@ -219,19 +214,19 @@ def _simulate_batch(
 
 
 def nonexit_mc(
-    f: ConductanceField, dom: Domain, t: float, n: int, rng: np.random.Generator
+    f: ConductanceField, t: float, n: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """Monte Carlo non-exit probability with its binomial standard error."""
     n = require_count(n, 2, "n_paths")
-    exited, _, _ = _simulate_batch(f, dom, require_time(t), n, rng, want_occupation=False)
+    exited, _, _ = _simulate_batch(f, require_time(t), n=n, rng=rng, want_occupation=False)
     p = float(np.mean(~exited))
     se = float(np.sqrt(p * (1.0 - p) / n))
     return p, se
 
 
 def occupation_mc(
-    f: ConductanceField, dom: Domain, t: float, n: int, rng: np.random.Generator
+    f: ConductanceField, t: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exit flags, end times, and per-site occupation for n independent paths."""
     n = require_count(n, 1, "n_paths")
-    return _simulate_batch(f, dom, require_time(t), n, rng, want_occupation=True)
+    return _simulate_batch(f, require_time(t), n=n, rng=rng, want_occupation=True)

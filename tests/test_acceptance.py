@@ -99,7 +99,7 @@ def test_acceptance_5_reweighting_normalization():
     cocycle = 0.0
     antisym = 0.0
     for i in range(n):
-        p = simulate(psi, dom, t, rng)
+        p = simulate(psi, t, rng)
         lp = girsanov_log_density(p, phi, psi)
         vals[i] = np.exp(lp)
         cocycle = max(cocycle, abs(lp + girsanov_log_density(p, chi, phi) - girsanov_log_density(p, chi, psi)))
@@ -121,7 +121,7 @@ def test_acceptance_6_band_comparison_bound():
     start = time.monotonic()
     dom = chain(2)
     psi = ConductanceField(dom, np.ones(dom.n_edges))
-    res = comparison_bound_check(psi, 0.1, dom, 1.0, 100, np.random.default_rng(66), method="exact")
+    res = comparison_bound_check(psi, 0.1, 1.0, 100, np.random.default_rng(66), method="exact")
     elapsed = time.monotonic() - start
     ok = res["violations"] == 0 and res["ok"] and elapsed < 10.0
     _report(
@@ -140,7 +140,7 @@ def test_acceptance_7_eigenvalue_sandwich():
     for _ in range(100):
         f = sample_field(LAW11, dom, rng)
         for t in (1.0, 10.0):
-            res = sandwich_check(f, dom, t)
+            res = sandwich_check(f, t)
             worst = min(worst, res["upper_margin"], res["lower_margin"])
     elapsed = time.monotonic() - start
     ok = worst >= -1e-10 and elapsed < 10.0
@@ -174,11 +174,11 @@ def test_acceptance_9_simulator_cross_validation():
     worst_cons = 0.0
     for k in range(10):
         f = sample_field(LAW11, dom, field_rng)
-        p_exact = semigroup_nonexit(f, dom, t)
-        p_hat, _ = nonexit_mc(f, dom, t, n, np.random.default_rng(101000 + k))
+        p_exact = semigroup_nonexit(f, t)
+        p_hat, _ = nonexit_mc(f, t, n, np.random.default_rng(101000 + k))
         se = np.sqrt(p_exact * (1.0 - p_exact) / n)
         worst_z = max(worst_z, abs(p_hat - p_exact) / se)
-        exited, end_time, occ = occupation_mc(f, dom, t, n, np.random.default_rng(201000 + k))
+        exited, end_time, occ = occupation_mc(f, t, n, np.random.default_rng(201000 + k))
         worst_cons = max(worst_cons, float(np.max(np.abs(occ.sum(axis=1) - end_time))))
     elapsed = time.monotonic() - start
     ok = worst_z <= 3.0 and worst_cons <= 1e-12 * t and elapsed < 60.0
@@ -200,11 +200,11 @@ def test_acceptance_10_scaling_identity():
     s = t ** (1.0 - r)
     n = 100_000
 
-    ex1, _, occ1 = occupation_mc(f1, dom, t, n, np.random.default_rng(42))
-    ex2, _, occ2 = occupation_mc(f2, dom, s, n, np.random.default_rng(42))
+    ex1, _, occ1 = occupation_mc(f1, t, n, np.random.default_rng(42))
+    ex2, _, occ2 = occupation_mc(f2, s, n, np.random.default_rng(42))
     paired_exact = bool(np.array_equal(ex1, ex2)) and float(np.max(np.abs(occ1 / t - occ2 / s))) == 0.0
 
-    ex3, _, occ3 = occupation_mc(f2, dom, s, n, np.random.default_rng(43))
+    ex3, _, occ3 = occupation_mc(f2, s, n, np.random.default_rng(43))
     p1, p3 = float(np.mean(~ex1)), float(np.mean(~ex3))
     se = np.sqrt(p1 * (1 - p1) / n + p3 * (1 - p3) / n)
     freq_ok = abs(p1 - p3) <= 3.0 * se

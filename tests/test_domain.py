@@ -15,8 +15,8 @@ from rwrc.errors import (
 
 
 def edge_counts(dom):
-    boundary = sum(e.b is None for e in dom.edges)
-    return len(dom.edges) - boundary, boundary
+    boundary = int(np.sum(dom.edge_b < 0))
+    return len(dom.edge_a) - boundary, boundary
 
 
 def test_single_site_1d():
@@ -24,8 +24,8 @@ def test_single_site_1d():
     assert dom.n_sites == 1
     interior, boundary = edge_counts(dom)
     assert interior == 0 and boundary == 2
-    exterior = sorted(e.b_point for e in dom.edges)
-    assert exterior == [(-1,), (1,)]
+    exterior = sorted(dom.edge_b_point.tolist())
+    assert exterior == [[-1], [1]]
 
 
 def test_two_sites_1d():
@@ -79,16 +79,19 @@ def test_dimension_mismatch():
         build_domain([[0, 0]], 1)
     with pytest.raises(DimensionMismatch):
         build_domain([[0.5]], 1)
+    # a coordinate that is not a real number, or a site that is not a sequence
+    for bad in ([[0], "a"], [[0], None], [[0], {"x": 1}], [[0], [[1]]], [[float("nan")]]):
+        with pytest.raises(DimensionMismatch):
+            build_domain(bad, 1)
 
 
 def test_canonical_ordering():
     a = build_domain([[0], [1], [-1]], 1)
     b = build_domain([[-1], [1], [0]], 1)
     assert domains_equal(a, b)
-    ea, eb = a.edges, b.edges
-    assert len(ea) == len(eb)
-    for x, y in zip(ea, eb):
-        assert (x.a, x.b, x.b_point) == (y.a, y.b, y.b_point)
+    assert a.n_edges == b.n_edges
+    for name in ("edge_a", "edge_b", "edge_b_point"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_origin_index():
@@ -100,25 +103,27 @@ def test_origin_index():
 
 def test_neighbor_tables_consistent():
     dom = box_domain(2, 1)
-    for e in dom.edges:
-        if e.b is not None:
-            assert e.b in dom.site_nbrs[e.a]
-            assert e.a in dom.site_nbrs[e.b]
-            diff = np.abs(dom.sites[e.a] - dom.sites[e.b]).sum()
+    assert dom.edge_b_point.shape == (dom.n_edges, dom.d)
+    for a, b, q in zip(dom.edge_a, dom.edge_b, dom.edge_b_point):
+        if b >= 0:
+            assert b in dom.site_nbrs[a]
+            assert a in dom.site_nbrs[b]
+            assert np.array_equal(q, dom.sites[b])
+            diff = np.abs(dom.sites[a] - dom.sites[b]).sum()
             assert diff == 1
         else:
-            diff = np.abs(dom.sites[e.a] - np.asarray(e.b_point)).sum()
+            diff = np.abs(dom.sites[a] - q).sum()
             assert diff == 1
 
 
 def test_each_edge_listed_once():
     dom = box_domain(2, 1)
     seen = set()
-    for e in dom.edges:
-        if e.b is not None:
-            key = (min(e.a, e.b), max(e.a, e.b))
+    for a, b, q in zip(dom.edge_a.tolist(), dom.edge_b.tolist(), dom.edge_b_point.tolist()):
+        if b >= 0:
+            key = (min(a, b), max(a, b))
         else:
-            key = (e.a, e.b_point)
+            key = (a, tuple(q))
         assert key not in seen
         seen.add(key)
 

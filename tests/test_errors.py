@@ -35,7 +35,7 @@ POSITIVE_SITES = {
     "exponent eta": exponent,
     "optimal_profile cap": lambda x: optimal_profile(uniform_profile(two_site()), LAW, cap=x),
     "comparison_bound_check eps": lambda x: comparison_bound_check(
-        unit_field(two_site()), x, two_site(), 1.0, 2, np.random.default_rng(0)
+        unit_field(two_site()), x, 1.0, 2, np.random.default_rng(0)
     ),
     "log_pair_sum_tail eps": lambda x: log_pair_sum_tail(LAW, x),
     "tauberian_check M": lambda x: tauberian_check(LAW, x, [1.0]),
@@ -65,25 +65,25 @@ def test_rules_return_plain_numbers():
 def test_nonexit_mc_rejects_a_fractional_path_count():
     dom = two_site()
     with pytest.raises(ArgumentOutOfRange):
-        nonexit_mc(unit_field(dom), dom, 1.0, 2.9, np.random.default_rng(0))
+        nonexit_mc(unit_field(dom), 1.0, 2.9, np.random.default_rng(0))
 
 
 def test_occupation_mc_rejects_a_bool_path_count():
     dom = two_site()
     with pytest.raises(ArgumentOutOfRange):
-        occupation_mc(unit_field(dom), dom, 1.0, True, np.random.default_rng(0))
+        occupation_mc(unit_field(dom), 1.0, True, np.random.default_rng(0))
 
 
 def test_comparison_bound_rejects_zero_fields():
     dom = two_site()
     with pytest.raises(ArgumentOutOfRange):
-        comparison_bound_check(unit_field(dom), 0.1, dom, 1.0, 0, np.random.default_rng(0))
+        comparison_bound_check(unit_field(dom), 0.1, 1.0, 0, np.random.default_rng(0))
 
 
 def test_comparison_bound_rejects_a_fractional_field_count():
     dom = two_site()
     with pytest.raises(ArgumentOutOfRange):
-        comparison_bound_check(unit_field(dom), 0.1, dom, 1.0, 2.7, np.random.default_rng(0))
+        comparison_bound_check(unit_field(dom), 0.1, 1.0, 2.7, np.random.default_rng(0))
 
 
 def test_box_domain_rejects_a_bool_half_width():

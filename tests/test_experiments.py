@@ -584,6 +584,15 @@ BAD_CONFIG_VALUES = [
     (["sample-field"], {"domain": {"type": "box", "half_width": True}, "seed": 1}),
     (["sample-field"], {"domain": [1], "seed": 1}),
     (["sample-field"], {"domain": {"type": "sites", "d": "x", "sites": [[0]]}, "seed": 1}),
+    # a document, a site list or a site of the wrong type used to crash with a traceback
+    (["sample-field", "--seed", 1], [1, 2]),
+    (["sample-field", "--seed", 1], "abc"),
+    (["sample-field", "--eta", 1], {"law": [1], "seed": 1}),
+    (["sample-field"], {"domain": {"type": "sites", "d": 1, "sites": 5}, "seed": 1}),
+    (["sample-field"], {"domain": {"type": "sites", "d": 1, "sites": [[0], None]}, "seed": 1}),
+    (["sample-field"], {"domain": {"type": "sites", "d": 1, "sites": [[0], "a"]}, "seed": 1}),
+    (["sample-field"], {"domain": {"type": "sites", "d": 1, "sites": [[0], {"x": 1}]}, "seed": 1}),
+    (["sample-field"], {"domain": {"type": "sites", "d": 1, "sites": [[0], [[1]]]}, "seed": 1}),
     # inf used to pass the eps check and write a tail probability of nan
     (["eigen-tail", "--method", "mc", "--domain", "box1d:1", "--eps", "inf", "--trials", 20,
       "--seed", 1], None),

@@ -48,7 +48,7 @@ def test_identity_fields_give_zero():
     f = ConductanceField(dom, np.array([0.5, 1.5, 2.0]))
     rng = np.random.default_rng(1)
     for _ in range(100):
-        p = simulate(f, dom, 2.0, rng)
+        p = simulate(f, 2.0, rng)
         assert girsanov_log_density(p, f, f) == 0.0
 
 
@@ -70,7 +70,7 @@ def test_normalization():
     n = 20_000
     w = np.empty(n)
     for i in range(n):
-        p = simulate(psi, dom, 1.0, rng)
+        p = simulate(psi, 1.0, rng)
         w[i] = math.exp(girsanov_log_density(p, phi, psi))
     m, se = w.mean(), w.std(ddof=1) / math.sqrt(n)
     assert abs(m - 1.0) <= 3 * se
@@ -83,7 +83,7 @@ def test_cocycle_and_antisymmetry():
     psi = ConductanceField(dom, rng.uniform(0.5, 2.0, 3))
     chi = ConductanceField(dom, rng.uniform(0.5, 2.0, 3))
     for _ in range(300):
-        p = simulate(psi, dom, 2.0, rng)
+        p = simulate(psi, 2.0, rng)
         ab = girsanov_log_density(p, phi, psi)
         bc = girsanov_log_density(p, psi, chi)
         ac = girsanov_log_density(p, phi, chi)
@@ -116,7 +116,7 @@ def test_density_matches_per_jump_reference(seed):
     rng = np.random.default_rng(seed)
     phi = ConductanceField(dom, rng.uniform(0.2, 3.0, dom.n_edges))
     psi = ConductanceField(dom, rng.uniform(0.2, 3.0, dom.n_edges))
-    paths = [simulate(psi, dom, 0.0, rng)] + [simulate(psi, dom, 1.0, rng) for _ in range(100)]
+    paths = [simulate(psi, 0.0, rng)] + [simulate(psi, 1.0, rng) for _ in range(100)]
     assert paths[0].n_jumps == 0
     assert any(p.exited for p in paths)
     assert any(p.n_jumps > 0 and not p.exited for p in paths)
@@ -140,7 +140,7 @@ def test_reweighted_always_true_event():
     psi = ConductanceField(dom, np.ones(3))
     phi = ConductanceField(dom, np.array([1.4, 0.6, 1.1]))
     est, se = reweighted_probability(
-        lambda p: True, phi, psi, dom, 1.0, 20_000, np.random.default_rng(10)
+        lambda p: True, phi, psi, 1.0, 20_000, np.random.default_rng(10)
     )
     assert abs(est - 1.0) <= 3 * se
 
@@ -151,7 +151,7 @@ def test_reweighted_needs_two_trials():
     psi = ConductanceField(dom, np.ones(dom.n_edges))
     for n in (1, 0):
         with pytest.raises(ArgumentOutOfRange):
-            reweighted_probability(lambda p: True, psi, psi, dom, 1.0, n, np.random.default_rng(0))
+            reweighted_probability(lambda p: True, psi, psi, 1.0, n, np.random.default_rng(0))
 
 
 def test_reweighted_nonexit_vs_semigroup():
@@ -159,16 +159,16 @@ def test_reweighted_nonexit_vs_semigroup():
     psi = ConductanceField(dom, np.ones(3))
     phi = ConductanceField(dom, np.array([1.7, 0.6, 0.9]))
     est, se = reweighted_probability(
-        nonexit_event, phi, psi, dom, 1.0, 20_000, np.random.default_rng(11)
+        nonexit_event, phi, psi, 1.0, 20_000, np.random.default_rng(11)
     )
-    exact = semigroup_nonexit(phi, dom, 1.0)
+    exact = semigroup_nonexit(phi, 1.0)
     assert abs(est - exact) <= 3 * se
 
 
 def test_comparison_bound_exact():
     dom = two_site()
     psi = ConductanceField(dom, np.ones(3))
-    rep = comparison_bound_check(psi, 0.1, dom, 1.0, 100, np.random.default_rng(12), method="exact")
+    rep = comparison_bound_check(psi, 0.1, 1.0, 100, np.random.default_rng(12), method="exact")
     assert rep["method"] == "exact"
     assert rep["factor"] == pytest.approx(math.exp(-4 * dom.d * 0.1 * 1.0), rel=1e-14)
     assert rep["violations"] == 0 and rep["ok"]
@@ -178,7 +178,7 @@ def test_comparison_bound_exact():
 def test_comparison_bound_small_eps_tight():
     dom = box_domain(1, 0)
     psi = ConductanceField(dom, np.ones(2))
-    rep = comparison_bound_check(psi, 1e-9, dom, 1.0, 10, np.random.default_rng(13), method="exact")
+    rep = comparison_bound_check(psi, 1e-9, 1.0, 10, np.random.default_rng(13), method="exact")
     # phi pinned to psi: both sides equal up to the e^{-4*d*eps*t} factor
     assert rep["ok"]
     assert rep["min_margin"] <= 1e-6
@@ -188,7 +188,7 @@ def test_comparison_bound_empty_event():
     dom = two_site()
     psi = ConductanceField(dom, np.ones(3))
     rep = comparison_bound_check(
-        psi, 0.1, dom, 1.0, 5, np.random.default_rng(14), method="mc",
+        psi, 0.1, 1.0, 5, np.random.default_rng(14), method="mc",
         event=lambda p: False, n_paths=200,
     )
     assert rep["violations"] == 0 and rep["ok"]
@@ -198,7 +198,7 @@ def test_comparison_bound_mc():
     dom = two_site()
     psi = ConductanceField(dom, np.ones(3))
     rep = comparison_bound_check(
-        psi, 0.2, dom, 1.0, 10, np.random.default_rng(15), method="mc", n_paths=4000
+        psi, 0.2, 1.0, 10, np.random.default_rng(15), method="mc", n_paths=4000
     )
     assert rep["violations"] == 0 and rep["ok"]
 
@@ -210,7 +210,7 @@ def test_comparison_bound_mc_needs_two_paths(n_paths):
     psi = ConductanceField(dom, np.ones(dom.n_edges))
     with pytest.raises(ArgumentOutOfRange):
         comparison_bound_check(
-            psi, 0.2, dom, 1.0, 3, np.random.default_rng(0), method="mc", n_paths=n_paths
+            psi, 0.2, 1.0, 3, np.random.default_rng(0), method="mc", n_paths=n_paths
         )
 
 
@@ -218,7 +218,7 @@ def test_comparison_bound_eps_too_large():
     dom = two_site()
     psi = ConductanceField(dom, np.array([0.3, 1.0, 1.0]))
     with pytest.raises(EpsilonTooLarge):
-        comparison_bound_check(psi, 0.3, dom, 1.0, 5, np.random.default_rng(16))
+        comparison_bound_check(psi, 0.3, 1.0, 5, np.random.default_rng(16))
 
 
 def box_corners(lo, hi):
@@ -229,7 +229,7 @@ def box_corners(lo, hi):
 def box_bound_reference(f_test, phi, dom, lo, hi, t):
     """The box's closed form: the supremum is sum_x max(c_x lo_x, c_x hi_x)."""
     f = np.asarray(f_test, dtype=float)
-    coeff = -(assemble(phi, dom).matrix @ f) / f
+    coeff = -(assemble(phi).matrix @ f) / f
     sup = float(np.sum(np.where(coeff >= 0, coeff * hi, coeff * lo)))
     return float(f[dom.origin_index] / np.min(f) * np.exp(t * sup))
 
@@ -238,15 +238,15 @@ def test_feynman_kac_single_site_exact():
     dom = box_domain(1, 0)
     phi = ConductanceField(dom, np.array([1.0, 1.0]))
     for t in (0.5, 1.0, 3.0):
-        ub = feynman_kac_upper_bound(np.array([1.0]), phi, dom, np.array([[1.0]]), t)
+        ub = feynman_kac_upper_bound(np.array([1.0]), phi, np.array([[1.0]]), t)
         assert ub == pytest.approx(math.exp(-2.0 * t), rel=1e-13)
-        assert ub >= semigroup_nonexit(phi, dom, t) - 1e-13
+        assert ub >= semigroup_nonexit(phi, t) - 1e-13
 
 
 def test_feynman_kac_t_zero():
     dom = two_site()
     phi = ConductanceField(dom, np.ones(3))
-    ub = feynman_kac_upper_bound(np.array([1.0, 2.0]), phi, dom, np.array([[0.5, 0.5]]), 0.0)
+    ub = feynman_kac_upper_bound(np.array([1.0, 2.0]), phi, np.array([[0.5, 0.5]]), 0.0)
     assert ub == pytest.approx(1.0, rel=1e-14)  # f(origin)/min f with f(origin) = min f
 
 
@@ -260,13 +260,13 @@ def test_feynman_kac_dominates_mc():
         lo = rng.uniform(0.0, 0.4, dom.n_sites)
         hi = lo + rng.uniform(0.2, 0.6, dom.n_sites)
         hi = np.minimum(hi, 1.0)
-        exited, _, occ = occupation_mc(phi, dom, t, n, rng)
+        exited, _, occ = occupation_mc(phi, t, n, rng)
         h = occ / t
         hit = (~exited) & np.all((h >= lo[None, :]) & (h <= hi[None, :]), axis=1)
         p_hat = hit.mean()
         se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n)
         f_test = rng.uniform(0.5, 2.0, dom.n_sites)
-        ub = feynman_kac_upper_bound(f_test, phi, dom, box_corners(lo, hi), t)
+        ub = feynman_kac_upper_bound(f_test, phi, box_corners(lo, hi), t)
         assert ub >= p_hat - 3 * se
 
 
@@ -287,7 +287,7 @@ def test_feynman_kac_corners_keep_the_box_bound(data):
     lo = vector(n, 0.0, 1.0)
     hi = lo + vector(n, 0.0, 1.0)
     t = data.draw(st.floats(0.0, 2.0))
-    ub = feynman_kac_upper_bound(f_test, phi, dom, box_corners(lo, hi), t)
+    ub = feynman_kac_upper_bound(f_test, phi, box_corners(lo, hi), t)
     assert ub == pytest.approx(box_bound_reference(f_test, phi, dom, lo, hi, t), rel=1e-12)
 
 
@@ -295,8 +295,8 @@ def test_feynman_kac_vertex_route():
     dom = two_site()
     phi = ConductanceField(dom, np.ones(3))
     simplex = np.array([[1.0, 0.0], [0.0, 1.0]])
-    ub = feynman_kac_upper_bound(np.array([1.0, 1.0]), phi, dom, simplex, 1.0)
-    assert ub >= semigroup_nonexit(phi, dom, 1.0) - 1e-13
+    ub = feynman_kac_upper_bound(np.array([1.0, 1.0]), phi, simplex, 1.0)
+    assert ub >= semigroup_nonexit(phi, 1.0) - 1e-13
 
 
 def test_feynman_kac_errors():
@@ -304,12 +304,12 @@ def test_feynman_kac_errors():
     phi = ConductanceField(dom, np.ones(3))
     f = np.array([1.0, 1.0])
     with pytest.raises(DomainMismatch):
-        feynman_kac_upper_bound(f, phi, dom, np.array([[1.0]]), 1.0)
+        feynman_kac_upper_bound(f, phi, np.array([[1.0]]), 1.0)
     with pytest.raises(DomainMismatch):
-        feynman_kac_upper_bound(np.array([1.0]), phi, dom, np.array([[0.5, 0.5]]), 1.0)
+        feynman_kac_upper_bound(np.array([1.0]), phi, np.array([[0.5, 0.5]]), 1.0)
     for masses in (np.empty((0, 2)), np.array([0.5, 0.5]), np.array([[0.5, np.nan]]),
                    np.array([[np.inf, 0.0]])):
         with pytest.raises(ArgumentOutOfRange):
-            feynman_kac_upper_bound(f, phi, dom, masses, 1.0)
+            feynman_kac_upper_bound(f, phi, masses, 1.0)
     with pytest.raises(NonPositiveArgument):
-        feynman_kac_upper_bound(np.array([1.0, 0.0]), phi, dom, np.array([[0.5, 0.5]]), 1.0)
+        feynman_kac_upper_bound(np.array([1.0, 0.0]), phi, np.array([[0.5, 0.5]]), 1.0)

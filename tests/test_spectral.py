@@ -9,7 +9,6 @@ from rwrc import spectral
 from rwrc.conductance import ConductanceField, sample_field
 from rwrc.domain import box_domain, build_domain
 from rwrc.errors import (
-    DomainMismatch,
     FieldMismatch,
     NonConvergence,
     NonPositiveWeight,
@@ -37,7 +36,7 @@ from rwrc.walk import nonexit_mc
 def test_assemble_single_site():
     dom = box_domain(1, 0)
     f = ConductanceField(dom, np.array([2.0, 5.0]))
-    op = assemble(f, dom)
+    op = assemble(f)
     assert op.matrix.shape == (1, 1)
     assert op.matrix[0, 0] == 7.0
 
@@ -46,15 +45,9 @@ def test_assemble_two_sites():
     dom = build_domain([[0], [1]], 1)
     # canonical edge order: (-1,0), (0,1), (1,2)
     f = ConductanceField(dom, np.array([3.0, 2.0, 4.0]))
-    op = assemble(f, dom)
+    op = assemble(f)
     assert np.allclose(op.matrix, [[5.0, -2.0], [-2.0, 6.0]])
     assert np.allclose(op.matrix, op.matrix.T)
-
-
-def test_assemble_domain_mismatch():
-    f = ConductanceField(box_domain(1, 0), np.array([1.0, 1.0]))
-    with pytest.raises(DomainMismatch):
-        assemble(f, box_domain(1, 1))
 
 
 def test_quadratic_form_is_dirichlet_rate():
@@ -63,7 +56,7 @@ def test_quadratic_form_is_dirichlet_rate():
     for dom in (build_domain([[0], [1]], 1), box_domain(1, 1), box_domain(2, 1)):
         for _ in range(30):
             f = sample_field(law, dom, rng)
-            op = assemble(f, dom)
+            op = assemble(f)
             g = ProbabilityProfile.normalized(dom, rng.random(dom.n_sites) + 0.05)
             quad = float(g.values @ op.matrix @ g.values)
             assert quad == pytest.approx(dv_rate_I(f, g), rel=1e-12, abs=1e-12)
@@ -111,7 +104,7 @@ def test_dirichlet_matrix_matches_scatter_reference(dom, rel):
 
 def test_eigen_1x1():
     dom = box_domain(1, 0)
-    lam, vec = eigen(assemble(ConductanceField(dom, np.array([1.5, 2.5])), dom))
+    lam, vec = eigen(assemble(ConductanceField(dom, np.array([1.5, 2.5]))))
     assert lam[0] == pytest.approx(4.0, rel=1e-14)
     assert abs(vec[0, 0]) == pytest.approx(1.0, rel=1e-14)
 
@@ -119,7 +112,7 @@ def test_eigen_1x1():
 def test_eigen_2x2_hand_values():
     dom = build_domain([[0], [1]], 1)
     f = ConductanceField(dom, np.array([1.0, 1.0, 1.0]))
-    lam, _ = eigen(assemble(f, dom))
+    lam, _ = eigen(assemble(f))
     assert np.allclose(lam, [1.0, 3.0], rtol=1e-12)
 
 
@@ -129,7 +122,7 @@ def test_eigen_decomposition_invariants():
     for dom in (box_domain(1, 2), box_domain(2, 1)):
         for _ in range(25):
             f = sample_field(law, dom, rng)
-            op = assemble(f, dom)
+            op = assemble(f)
             a = op.matrix
             assert np.array_equal(a, reference_dirichlet_matrix(dom, f.weights))
             lam, v = eigen(op)
@@ -156,8 +149,8 @@ def _fields(draw):
 @given(f=_fields(), t1=st.floats(0.0, 20.0), dt=st.floats(0.0, 20.0))
 def test_semigroup_in_unit_interval_and_nonincreasing(f, t1, dt):
     dom = f.domain
-    p1 = semigroup_nonexit(f, dom, t1)
-    p2 = semigroup_nonexit(f, dom, t1 + dt)
+    p1 = semigroup_nonexit(f, t1)
+    p2 = semigroup_nonexit(f, t1 + dt)
     assert 0.0 <= p2 <= 1.0 and 0.0 <= p1 <= 1.0
     assert p2 <= p1 + 1e-12
 
@@ -170,8 +163,8 @@ def test_lambda1_nondecreasing_in_each_weight(f, data):
     factor = data.draw(st.floats(1.0, 50.0))
     raised = f.weights.copy()
     raised[e] *= factor
-    op = assemble(f, dom)
-    lam_raised = eigen(assemble(ConductanceField(dom, raised), dom))[0][0]
+    op = assemble(f)
+    lam_raised = eigen(assemble(ConductanceField(dom, raised)))[0][0]
     assert lam_raised >= eigen(op)[0][0] - 1e-12 * np.linalg.norm(op.matrix)
 
 
@@ -190,23 +183,23 @@ def test_solve_takes_a_stack_and_maps_a_singular_matrix_to_nonconvergence():
 def test_semigroup_values():
     dom = box_domain(1, 0)
     f = ConductanceField(dom, np.array([1.0, 1.0]))
-    assert semigroup_nonexit(f, dom, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert semigroup_nonexit(f, dom, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
+    assert semigroup_nonexit(f, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert semigroup_nonexit(f, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
 
 
 def test_semigroup_monotone_in_t():
     dom = box_domain(1, 1)
     f = sample_field(TailLaw(1.0, 1.0), dom, np.random.default_rng(12))
     ts = np.linspace(0.0, 6.0, 25)
-    vals = [semigroup_nonexit(f, dom, t) for t in ts]
+    vals = [semigroup_nonexit(f, t) for t in ts]
     assert np.all(np.diff(vals) <= 1e-14)
 
 
 def test_semigroup_vs_mc():
     dom = build_domain([[0], [1]], 1)
     f = sample_field(TailLaw(1.0, 1.0), dom, np.random.default_rng(14))
-    p = semigroup_nonexit(f, dom, 1.0)
-    est, _ = nonexit_mc(f, dom, 1.0, 100_000, np.random.default_rng(15))
+    p = semigroup_nonexit(f, 1.0)
+    est, _ = nonexit_mc(f, 1.0, 100_000, np.random.default_rng(15))
     se = math.sqrt(p * (1 - p) / 100_000)
     assert abs(est - p) <= 3 * se
 
@@ -214,7 +207,7 @@ def test_semigroup_vs_mc():
 def test_rayleigh_bound():
     dom = build_domain([[0], [1], [2]], 1)
     f = sample_field(TailLaw(1.0, 1.0), dom, np.random.default_rng(16))
-    lam, _ = eigen(assemble(f, dom))
+    lam, _ = eigen(assemble(f))
     g = solve_L(dom, 1.0).minimizer
     assert lam[0] <= dv_rate_I(f, g) + 1e-12
 
@@ -223,10 +216,10 @@ def test_sandwich_single_site_equalities():
     dom = box_domain(1, 0)
     f = ConductanceField(dom, np.array([1.2, 0.7]))
     for t in (0.0, 1.0, 5.0):
-        rep = sandwich_check(f, dom, t)
+        rep = sandwich_check(f, t)
         assert rep["upper_margin"] == pytest.approx(0.0, abs=1e-14)
         assert rep["lower_margin"] == pytest.approx(0.0, abs=1e-14)
-    rep0 = sandwich_check(f, dom, 0.0)
+    rep0 = sandwich_check(f, 0.0)
     assert rep0["p0"] == 1.0 and rep0["upper"] == 1.0
 
 
@@ -237,7 +230,7 @@ def test_sandwich_property():
     for _ in range(100):
         f = sample_field(law, dom, rng)
         for t in (1.0, 10.0):
-            rep = sandwich_check(f, dom, t)
+            rep = sandwich_check(f, t)
             assert rep["upper_margin"] >= -1e-10
             assert rep["lower_margin"] >= -1e-10
 
@@ -295,7 +288,7 @@ STACK_DOMAINS = [build_domain([[0], [1]], 1), box_domain(1, 1), box_domain(2, 1)
 
 def reference_nonexit(f: ConductanceField, dom, t: float) -> float:
     """One field at a time: one operator, one eigensolve and one scalar sum."""
-    lam, vec = eigen(assemble(f, dom))
+    lam, vec = eigen(assemble(f))
     val = float(np.sum(np.exp(-t * lam) * vec[dom.origin_index, :] * vec.sum(axis=0)))
     return min(max(val, 0.0), 1.0)
 
@@ -324,7 +317,7 @@ def test_stack_matches_per_field_reference(k, n, block, eta, t, seed):
     fields = [ConductanceField(dom, row) for row in w]
     ref = [reference_nonexit(f, dom, t) for f in fields]
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
-    ref_lam1 = [eigen(assemble(f, dom))[0][0] for f in fields]
+    ref_lam1 = [eigen(assemble(f))[0][0] for f in fields]
     np.testing.assert_allclose(lam1, ref_lam1, rtol=1e-12, atol=0.0)
 
 

@@ -119,7 +119,7 @@ def test_solver_is_nonincreasing_in_eta_and_above_unit_eigenvalue(name):
     # a unit profile has |grad_e g| <= 1, so |grad_e g|**p falls as p = 2*eta/(eta+1)
     # grows, and for p < 2 it is at least (grad_e g)**2, whose infimum is lambda1(1)
     dom = PROPERTY_DOMAINS[name]
-    lam1 = eigen(assemble(ConductanceField(dom, np.ones(dom.n_edges)), dom))[0][0]
+    lam1 = eigen(assemble(ConductanceField(dom, np.ones(dom.n_edges))))[0][0]
     values = [solve_L(dom, eta).value for eta in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)]
     for lo, hi in zip(values[1:], values):
         assert lo <= hi * (1.0 + 1e-12), values

@@ -22,7 +22,7 @@ def two_site():
 def test_zero_horizon():
     dom = box_domain(1, 0)
     f = ConductanceField(dom, np.array([1.0, 1.0]))
-    p = simulate(f, dom, 0.0, np.random.default_rng(0))
+    p = simulate(f, 0.0, np.random.default_rng(0))
     assert p.n_jumps == 0 and not p.exited
     occ = p.occupation
     assert occ.sum() == 0.0
@@ -36,10 +36,10 @@ def test_single_site_exit_time_mean():
     times = np.empty(n)
     right = 0
     for i in range(n):
-        p = simulate(f, dom, 1e9, rng)
+        p = simulate(f, 1e9, rng)
         assert p.exited
         times[i] = p.exit_time
-        if dom.edges[p.crossed[-1]].b_point == (1,):
+        if dom.edge_b_point[p.crossed[-1]].tolist() == [1]:
             right += 1
     # holding time ~ Exponential(4)
     mean, se = times.mean(), times.std(ddof=1) / math.sqrt(n)
@@ -57,7 +57,7 @@ def test_local_time_conservation():
     f = sample_field(law, dom, rng)
     t = 3.0
     for _ in range(500):
-        p = simulate(f, dom, t, rng)
+        p = simulate(f, t, rng)
         occ = p.occupation
         end = p.exit_time if p.exited else t
         assert abs(occ.sum() - end) <= 1e-12 * t
@@ -70,14 +70,14 @@ def test_path_structure():
     rng = np.random.default_rng(8)
     f = sample_field(law, dom, rng)
     for _ in range(200):
-        p = simulate(f, dom, 5.0, rng)
+        p = simulate(f, 5.0, rng)
         assert np.all(np.diff(p.jump_times) > 0)
         if p.n_jumps:
             assert p.jump_times[-1] <= p.end_time
         for a, b in zip(p.sites[:-1], p.sites[1:]):
             assert np.abs(dom.sites[a] - dom.sites[b]).sum() == 1
         if p.exited:
-            assert dom.edges[p.crossed[-1]].b is None
+            assert dom.edge_b[p.crossed[-1]] == -1
             assert p.exit_time <= 5.0
 
 
@@ -86,7 +86,7 @@ def test_two_site_local_times_split():
     f = ConductanceField(dom, np.array([0.01, 5.0, 0.01]))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        p = simulate(f, dom, 1.0, rng)
+        p = simulate(f, 1.0, rng)
         if p.exited or p.n_jumps != 1:
             continue
         occ = p.occupation
@@ -102,7 +102,7 @@ def test_holding_time_ks():
     rng = np.random.default_rng(13)
     holds = []
     for _ in range(4000):
-        p = simulate(f, dom, 1e9, rng)
+        p = simulate(f, 1e9, rng)
         first = p.jump_times[0] if p.n_jumps else p.exit_time
         holds.append(first)
     res = stats.kstest(holds, stats.expon(scale=1.0 / rate0).cdf)
@@ -112,8 +112,8 @@ def test_holding_time_ks():
 def test_simulate_deterministic():
     dom = two_site()
     f = ConductanceField(dom, np.array([1.0, 2.0, 3.0]))
-    a = simulate(f, dom, 4.0, np.random.default_rng(77))
-    b = simulate(f, dom, 4.0, np.random.default_rng(77))
+    a = simulate(f, 4.0, np.random.default_rng(77))
+    b = simulate(f, 4.0, np.random.default_rng(77))
     assert np.array_equal(a.jump_times, b.jump_times)
     assert np.array_equal(a.sites, b.sites)
     assert a.exited == b.exited and a.exit_time == b.exit_time
@@ -122,11 +122,11 @@ def test_simulate_deterministic():
 def test_nonexit_mc_single_site():
     dom = box_domain(1, 0)
     f = ConductanceField(dom, np.array([1.0, 1.0]))
-    est, se = nonexit_mc(f, dom, 1.0, 100_000, np.random.default_rng(31))
+    est, se = nonexit_mc(f, 1.0, 100_000, np.random.default_rng(31))
     p = math.exp(-2.0)
     assert abs(est - p) <= 3 * math.sqrt(p * (1 - p) / 100_000)
     assert se == pytest.approx(math.sqrt(est * (1 - est) / 100_000), rel=1e-9)
-    est0, se0 = nonexit_mc(f, dom, 0.0, 100, np.random.default_rng(0))
+    est0, se0 = nonexit_mc(f, 0.0, 100, np.random.default_rng(0))
     assert est0 == 1.0 and se0 == 0.0
 
 
@@ -136,15 +136,15 @@ def test_nonexit_mc_needs_two_trials():
     f = ConductanceField(dom, np.ones(dom.n_edges))
     for n in (1, 0):
         with pytest.raises(ArgumentOutOfRange):
-            nonexit_mc(f, dom, 1.0, n, np.random.default_rng(0))
+            nonexit_mc(f, 1.0, n, np.random.default_rng(0))
 
 
 def test_nonexit_mc_vs_semigroup():
     dom = two_site()
     law = TailLaw(1.0, 1.0)
     f = sample_field(law, dom, np.random.default_rng(19))
-    p = semigroup_nonexit(f, dom, 1.0)
-    est, _ = nonexit_mc(f, dom, 1.0, 100_000, np.random.default_rng(20))
+    p = semigroup_nonexit(f, 1.0)
+    est, _ = nonexit_mc(f, 1.0, 100_000, np.random.default_rng(20))
     se = math.sqrt(p * (1 - p) / 100_000)
     assert abs(est - p) <= 3 * se
 
@@ -154,7 +154,7 @@ def test_occupation_mc_conservation():
     law = TailLaw(1.0, 1.0)
     f = sample_field(law, dom, np.random.default_rng(23))
     t = 2.0
-    exited, end_time, occ = occupation_mc(f, dom, t, 5000, np.random.default_rng(24))
+    exited, end_time, occ = occupation_mc(f, t, 5000, np.random.default_rng(24))
     assert np.all(np.abs(occ.sum(axis=1) - end_time) <= 1e-12 * t)
     assert np.all(end_time[~exited] == t)
     assert np.all(end_time[exited] < t)
@@ -164,12 +164,12 @@ def test_occupation_mc_matches_per_path_engine():
     dom = two_site()
     f = ConductanceField(dom, np.array([0.4, 0.9, 0.3]))
     t, n = 2.0, 30_000
-    exited, _, occ = occupation_mc(f, dom, t, n, np.random.default_rng(40))
+    exited, _, occ = occupation_mc(f, t, n, np.random.default_rng(40))
     rng = np.random.default_rng(41)
     occ2 = np.empty((n, dom.n_sites))
     exited2 = np.empty(n, dtype=bool)
     for i in range(n):
-        p = simulate(f, dom, t, rng)
+        p = simulate(f, t, rng)
         occ2[i] = p.occupation
         exited2[i] = p.exited
     for z in range(dom.n_sites):
@@ -188,12 +188,12 @@ def test_scaling_identity_paired():
     t, r = 4.0, 0.5
     s = t ** (1 - r)
     f2 = ConductanceField(dom, t**r * f.weights)
-    e1, et1, o1 = occupation_mc(f, dom, t, 20_000, np.random.default_rng(42))
-    e2, et2, o2 = occupation_mc(f2, dom, s, 20_000, np.random.default_rng(42))
+    e1, et1, o1 = occupation_mc(f, t, 20_000, np.random.default_rng(42))
+    e2, et2, o2 = occupation_mc(f2, s, 20_000, np.random.default_rng(42))
     assert np.array_equal(e1, e2)
     assert np.abs(o1 / t - o2 / s).max() == 0.0
     # independent streams: distributional agreement
-    e3, _, o3 = occupation_mc(f2, dom, s, 20_000, np.random.default_rng(43))
+    e3, _, o3 = occupation_mc(f2, s, 20_000, np.random.default_rng(43))
     for z in range(dom.n_sites):
         m1, m3 = (o1[:, z] / t).mean(), (o3[:, z] / s).mean()
         se = math.sqrt((o1[:, z] / t).var(ddof=1) / 20_000 + (o3[:, z] / s).var(ddof=1) / 20_000)
@@ -281,7 +281,7 @@ def test_simulate_matches_numpy_reference_bit_for_bit(name, data, t, seed):
     f = ConductanceField(dom, np.array(w))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
-        p = simulate(f, dom, t, rng)
+        p = simulate(f, t, rng)
         ref = reference_simulate(f, dom, t, ref_rng)
         for key in ("jump_times", "sites", "occupation", "crossed"):
             got, want = getattr(p, key), ref[key]
@@ -369,7 +369,7 @@ def test_lockstep_engine_matches_reference_bit_for_bit(
     if faint_site is not None:
         assert abs(_walk_tables(f).cum[site, -2] - 1.0) <= 4e-16
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    exited, end_time, occ = _simulate_batch(f, dom, t, n, rng, want_occupation)
+    exited, end_time, occ = _simulate_batch(f, t, n=n, rng=rng, want_occupation=want_occupation)
     want_exited, want_end, want_occ = reference_simulate_batch(f, dom, t, n, ref_rng, want_occupation)
     assert exited.dtype == want_exited.dtype and np.array_equal(exited, want_exited)
     assert end_time.dtype == want_end.dtype and np.all(end_time == want_end)
