@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, build_domain, domains_equal
-from .errors import FieldMismatch, NonPositiveWeight, require_positive
+from .domain import Domain, domain_from_spec, domains_equal
+from .errors import FieldMismatch, NonPositiveWeight, _mapping, _number_list, require_positive
 from .profiles import ProbabilityProfile, edge_differences
 from .tail_law import TailLaw, sample
 
@@ -92,6 +92,8 @@ def field_to_json(f: ConductanceField) -> str:
 
 
 def field_from_json(text: str) -> ConductanceField:
-    doc = json.loads(text)
-    dom = build_domain(doc["domain"]["sites"], int(doc["domain"]["d"]))
-    return ConductanceField(dom, np.asarray(doc["weights"], dtype=float))
+    """Read what field_to_json writes, by the config's rules: the domain
+    through domain_from_spec and the weights as a list of numbers."""
+    doc = _mapping(json.loads(text), "field")
+    dom = domain_from_spec(doc.get("domain"))
+    return ConductanceField(dom, _number_list(doc.get("weights"), "weights"))

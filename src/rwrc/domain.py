@@ -11,17 +11,20 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections import deque
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    ArgumentOutOfRange,
     DimensionMismatch,
     DisconnectedDomain,
     DuplicateSite,
     OriginMissing,
+    UnsupportedDomain,
+    _mapping,
     require_count,
 )
 
@@ -90,16 +93,6 @@ def _normalize_point(p, d: int) -> tuple[int, ...]:
     return tp
 
 
-def _neighbour_offsets(d: int) -> list[tuple[int, ...]]:
-    offs = []
-    for j in range(d):
-        for sgn in (-1, 1):
-            v = [0] * d
-            v[j] = sgn
-            offs.append(tuple(v))
-    return sorted(offs)
-
-
 def build_domain(points, d: int) -> Domain:
     """Validate a site collection and build the full domain structure.
 
@@ -121,60 +114,38 @@ def build_domain(points, d: int) -> Domain:
         raise OriginMissing("domain must contain the origin")
 
     pts.sort()
-    index = {tp: i for i, tp in enumerate(pts)}
-    offsets = _neighbour_offsets(d)
+    n, index = len(pts), {tp: i for i, tp in enumerate(pts)}
+    sites = np.array(pts, dtype=np.int64)
+    # the lattice point at every (site, offset) pair, the 2d unit offsets in
+    # lexicographic order, and the neighbour table: the site there, or -1
+    eye = np.eye(d, dtype=np.int64)
+    points = sites[:, None, :] + np.concatenate([-eye, eye[::-1]])
+    nbrs = np.array(
+        [index.get(q, -1) for q in map(tuple, points.reshape(-1, d).tolist())], dtype=np.int64
+    ).reshape(n, 2 * d)
 
-    # breadth-first search from the origin
-    reached = {origin}
-    queue = deque([origin])
-    while queue:
-        cur = queue.popleft()
-        for off in offsets:
-            nb = tuple(c + o for c, o in zip(cur, off))
-            if nb in index and nb not in reached:
-                reached.add(nb)
-                queue.append(nb)
-    if len(reached) != len(pts):
-        missing = sorted(seen - reached)[0]
+    # a search over the table; -1, the exterior, counts as reached
+    reached, stack = {-1, index[origin]}, [index[origin]]
+    while stack:
+        found = set(nbrs[stack.pop()].tolist()) - reached
+        reached |= found
+        stack += found
+    if len(reached) <= n:
+        missing = pts[min(set(range(n)) - reached)]
         raise DisconnectedDomain(f"site {missing} is not connected to the origin")
 
-    n = len(pts)
-    edge_a: list[int] = []
-    edge_b: list[int] = []
-    b_points: list[tuple[int, ...]] = []
-    site_edges = np.full((n, 2 * d), -1, dtype=np.int64)
-    site_nbrs = np.full((n, 2 * d), -1, dtype=np.int64)
-    slot = np.zeros(n, dtype=np.int64)
-
-    def _attach(site: int, eidx: int, nbr: int) -> None:
-        k = slot[site]
-        site_edges[site, k] = eidx
-        site_nbrs[site, k] = nbr
-        slot[site] = k + 1
-
-    for i, tp in enumerate(pts):
-        for off in offsets:
-            q = tuple(c + o for c, o in zip(tp, off))
-            j = index.get(q, -1)
-            if j < 0 or j > i:
-                _attach(i, len(edge_a), j)
-                if j >= 0:
-                    _attach(j, len(edge_a), i)
-                edge_a.append(i)
-                edge_b.append(j)
-                b_points.append(q)
-            # 0 <= j < i: edge was created while scanning site j
-
-    m = len(edge_a)
+    # an edge per pair whose far end is exterior or a later site, in (site,
+    # offset) order; each site's 2d incident edges in edge order, and their far ends
+    new = (nbrs < 0) | (nbrs > np.arange(n)[:, None])
+    edge_a, edge_b = np.nonzero(new)[0], nbrs[new]
+    inside = edge_b >= 0
+    ids = np.concatenate([np.arange(edge_a.size), np.flatnonzero(inside)])
+    order = np.lexsort((ids, np.concatenate([edge_a, edge_b[inside]])))
+    far = np.concatenate([edge_b, edge_a[inside]])
     return Domain(
-        d=d,
-        sites=np.array(pts, dtype=np.int64).reshape(n, d),
-        origin_index=index[origin],
-        edge_a=np.array(edge_a, dtype=np.int64),
-        edge_b=np.array(edge_b, dtype=np.int64),
-        edge_b_point=np.array(b_points, dtype=np.int64).reshape(m, d),
-        site_edges=site_edges,
-        site_nbrs=site_nbrs,
+        d=d, sites=sites, origin_index=index[origin], edge_a=edge_a, edge_b=edge_b,
+        edge_b_point=points[new], site_edges=ids[order].reshape(n, 2 * d),
+        site_nbrs=far[order].reshape(n, 2 * d),
     )
 
 
@@ -184,6 +155,31 @@ def box_domain(d: int, half_width: int) -> Domain:
     half_width = require_count(half_width, 0, "half_width")
     rng = range(-half_width, half_width + 1)
     return build_domain(itertools.product(rng, repeat=d), d)
+
+
+def domain_from_spec(spec) -> Domain:
+    """The one reader of a written domain: a config's ``domain`` section or a
+    field JSON's.  ``{"type": "box", "d", "half_width"}`` is a centred box and
+    ``{"type": "sites", "d", "sites"}`` a site list; ``type`` defaults to
+    ``"sites"`` when ``sites`` is given and to ``"box"`` otherwise."""
+    spec = _mapping(spec, "domain")
+    kind = spec.get("type", "sites" if "sites" in spec else "box")
+    if kind == "box":
+        return box_domain(spec.get("d", 1), spec.get("half_width", 0))
+    if kind == "sites":
+        sites = spec.get("sites")
+        if not isinstance(sites, list):
+            raise ArgumentOutOfRange(f"sites must be a list of sites, got {sites!r}")
+        return build_domain(sites, spec.get("d"))
+    raise UnsupportedDomain(f"unknown domain type {kind!r}")
+
+
+def parse_domain_arg(text: str) -> dict:
+    """The spec of a command-line domain shorthand such as box1d:2."""
+    m = re.fullmatch(r"box(\d+)d:(\d+)", text.strip())
+    if not m:
+        raise ArgumentOutOfRange(f"cannot parse domain {text!r}, expected e.g. box1d:2")
+    return {"type": "box", "d": int(m.group(1)), "half_width": int(m.group(2))}
 
 
 def domains_equal(a: Domain, b: Domain) -> bool:

@@ -100,3 +100,25 @@ def require_count(value, least: int, what: str) -> int:
     if value < least:
         raise ArgumentOutOfRange(f"{what} must be at least {least}, got {value!r}")
     return int(value)
+
+
+def _number_list(value, key: str) -> list:
+    """A list of real numbers read from a JSON document (a config grid, a
+    field's weights), returned as floats."""
+    if not isinstance(value, (list, tuple)):
+        raise ArgumentOutOfRange(f"{key} must be a list of numbers, got {value!r}")
+    return [_real(x, f"{key}[{i}]") for i, x in enumerate(value)]
+
+
+def _real(value, key: str) -> float:
+    """A real number read from a JSON document (not a bool), returned as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ArgumentOutOfRange(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _mapping(value, key: str) -> dict:
+    """A document or a section of one: a JSON object."""
+    if not isinstance(value, dict):
+        raise ArgumentOutOfRange(f"{key} must be a JSON object, got {value!r}")
+    return value

@@ -16,9 +16,7 @@ import csv
 import functools
 import json
 import math
-import numbers
 import os
-import re
 import sys
 import time as _time
 from dataclasses import dataclass
@@ -32,7 +30,7 @@ from .conductance import (
     require_same_domain,
     sample_field,
 )
-from .domain import Domain, box_domain, build_domain
+from .domain import Domain, domain_from_spec, parse_domain_arg
 from .errors import (
     ArgumentOutOfRange,
     DegenerateWeights,
@@ -40,6 +38,9 @@ from .errors import (
     NonConvergence,
     RwrcError,
     UnsupportedDomain,
+    _mapping,
+    _number_list,
+    _real,
     require_count,
     require_positive,
     require_time,
@@ -116,52 +117,12 @@ class ExperimentConfig:
         return domain_from_spec(self.domain)
 
 
-def _number_list(value, key: str) -> list:
-    """A grid read from a config: a list of real numbers, returned as floats."""
-    if not isinstance(value, (list, tuple)):
-        raise ArgumentOutOfRange(f"{key} must be a list of numbers, got {value!r}")
-    return [_real(x, f"{key}[{i}]") for i, x in enumerate(value)]
-
-
-def _real(value, key: str) -> float:
-    """A real number read from a config (not a bool), returned as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ArgumentOutOfRange(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _mapping(value, key: str) -> dict:
-    """A section read from a config: a JSON object."""
-    if not isinstance(value, dict):
-        raise ArgumentOutOfRange(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
 def _parse_grid(text: str, flag: str) -> list:
     """A comma-separated grid from the command line; empty items are skipped."""
     try:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ArgumentOutOfRange(f"cannot parse {flag} {text!r} as numbers") from None
-
-
-def domain_from_spec(spec: dict) -> Domain:
-    kind = spec.get("type", "box")
-    if kind == "box":
-        return box_domain(spec.get("d", 1), spec.get("half_width", 0))
-    if kind == "sites":
-        sites = spec["sites"]
-        if not isinstance(sites, list):
-            raise ArgumentOutOfRange(f"sites must be a list of sites, got {sites!r}")
-        return build_domain(sites, spec["d"])
-    raise UnsupportedDomain(f"unknown domain type {kind!r}")
-
-
-def parse_domain_arg(text: str) -> dict:
-    m = re.fullmatch(r"box(\d+)d:(\d+)", text.strip())
-    if not m:
-        raise ArgumentOutOfRange(f"cannot parse domain {text!r}, expected e.g. box1d:2")
-    return {"type": "box", "d": int(m.group(1)), "half_width": int(m.group(2))}
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +166,8 @@ def annealed_nonexit_quadrature(law: TailLaw, t: float) -> AnnealedEstimate:
 
 
 def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
-    """Plain Monte Carlo: prior fields, spectral inner probability."""
+    """Plain Monte Carlo: prior fields, spectral inner probability.  An
+    estimate of 0 claims an exact value, so it raises DegenerateWeights."""
     require_count(config.trials, 2, "trials")
     dom = config.build_domain()
     law = config.law()
@@ -214,8 +176,13 @@ def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     for t in config.times:
         probs = nonexit_stack(dom, sample(law, rng, (config.trials, dom.n_edges)), t)
         est = float(np.mean(probs))
+        if est == 0.0:
+            raise DegenerateWeights(
+                f"all {config.trials} fields give a non-exit probability of 0 at t = {t:g}; "
+                "the estimate is undefined"
+            )
         se = float(np.std(probs, ddof=1) / np.sqrt(config.trials))
-        log_est = float(np.log(est)) if est > 0 else float("-inf")
+        log_est = float(np.log(est))
         out.append(
             AnnealedEstimate(
                 t=float(t),
@@ -224,7 +191,7 @@ def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
                 log_estimate=log_est,
                 rescaled=_rescale(law, float(t), log_est),
                 method="mc",
-                rel_se=se / est if est > 0 else float("nan"),
+                rel_se=se / est,
             )
         )
     return out
@@ -354,6 +321,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     keeps its row, with a log-estimate of -inf.
     """
     require_count(config.trials, 2, "trials")
+    times = [require_positive(t, "time") for t in config.times]
     dom = config.build_domain()
     if dom.n_sites > 3:
         raise DomainTooLarge("profile tracking check supports at most 3 sites")
@@ -367,7 +335,7 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     rows = []
     by_time = []
     ok_all = True
-    for t in config.times:
+    for t in times:
         scales = _tilt_scales(g, law, t)
         x, logw = _sample_tilted(law, scales, config.trials, rng)
         ess = _ess(logw)

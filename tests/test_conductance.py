@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from rwrc.conductance import (
     site_totals,
 )
 from rwrc.domain import box_domain, build_domain, domains_equal
-from rwrc.errors import FieldMismatch, NonPositiveWeight
+from rwrc.errors import FieldMismatch, NonPositiveWeight, RwrcError
 from rwrc.profiles import ProbabilityProfile, delta_profile, uniform_profile
 from rwrc.tail_law import TailLaw, cdf, log_density
 
@@ -116,3 +117,22 @@ def test_field_json_round_trip():
     back = field_from_json(field_to_json(f))
     assert domains_equal(back.domain, dom)
     assert np.allclose(back.weights, f.weights, rtol=0, atol=0)
+
+
+GOOD_FIELD = {"domain": {"d": 1, "sites": [[0]]}, "weights": [1.0, 2.0]}
+
+# each of these crashed with a bare TypeError, ValueError or KeyError
+MALFORMED_FIELDS = [
+    {**GOOD_FIELD, "domain": {"d": 1, "sites": 5}},
+    [1],
+    {**GOOD_FIELD, "weights": "ab"},
+    {**GOOD_FIELD, "domain": {"d": "x", "sites": [[0]]}},
+    {"weights": [1.0, 2.0]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_FIELDS, ids=json.dumps)
+def test_field_from_json_rejects_malformed_documents(doc):
+    assert field_from_json(json.dumps(GOOD_FIELD)).weights.tolist() == [1.0, 2.0]
+    with pytest.raises(RwrcError):
+        field_from_json(json.dumps(doc))

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwrc.conductance import ConductanceField, field_from_json, field_to_json
-from rwrc.domain import box_domain, build_domain, domains_equal
+from rwrc.domain import box_domain, build_domain, domain_from_spec, domains_equal
 from rwrc.errors import (
     ArgumentOutOfRange,
     DimensionMismatch,
@@ -116,6 +118,67 @@ def test_neighbor_tables_consistent():
             assert diff == 1
 
 
+@st.composite
+def connected_sites(draw):
+    """A connected site set with the origin in d = 1..3, grown one neighbour at
+    a time, and listed in shuffled order."""
+    d = draw(st.integers(1, 3))
+    grown = [(0,) * d]
+    for _ in range(draw(st.integers(0, 12))):
+        base = draw(st.sampled_from(grown))
+        axis, step = draw(st.integers(0, d - 1)), draw(st.sampled_from((-1, 1)))
+        q = base[:axis] + (base[axis] + step,) + base[axis + 1:]
+        if q not in grown:
+            grown.append(q)
+    return draw(st.permutations(grown)), d
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=connected_sites())
+def test_tables_agree_on_random_connected_sets(spec):
+    points, d = spec
+    dom = build_domain(points, d)
+    n, m = dom.n_sites, dom.n_edges
+    assert sorted(map(tuple, dom.sites.tolist())) == sorted(points)
+    assert dom.site_edges.shape == dom.site_nbrs.shape == (n, 2 * d)
+    # each site lists its incident edges in increasing order, with their far ends
+    assert np.all(np.diff(dom.site_edges, axis=1) > 0)
+    for i in range(n):
+        for e, j in zip(dom.site_edges[i].tolist(), dom.site_nbrs[i].tolist()):
+            assert i in (dom.edge_a[e], dom.edge_b[e])
+            assert j == (dom.edge_b[e] if dom.edge_a[e] == i else dom.edge_a[e])
+    # every edge is incident to its endpoints' rows and nowhere else
+    assert np.array_equal(np.bincount(dom.site_edges.ravel(), minlength=m), 1 + (dom.edge_b >= 0))
+    step = dom.edge_b_point - dom.sites[dom.edge_a]
+    assert np.array_equal(np.abs(step).sum(axis=1), np.ones(m, dtype=np.int64))
+    inside = dom.edge_b >= 0
+    assert np.array_equal(dom.edge_b_point[inside], dom.sites[dom.edge_b[inside]])
+    # edges come in (edge_a, offset) order, the offsets sorted lexicographically
+    keys = list(zip(dom.edge_a.tolist(), map(tuple, step.tolist())))
+    assert keys == sorted(keys)
+
+
+def test_tables_pin_the_first_slot_to_an_earlier_edge():
+    # the origin's first offset (-1, 0) points outside, but its lower
+    # neighbour's edge (edge 2) was made first, so it takes the first slot
+    dom = build_domain([(0, -1), (0, 0)], 2)
+    assert dom.sites.tolist() == [[0, -1], [0, 0]]
+    assert dom.site_nbrs.tolist() == [[-1, -1, 1, -1], [0, -1, -1, -1]]
+    assert dom.site_edges.tolist() == [[0, 1, 2, 3], [2, 4, 5, 6]]
+    assert dom.edge_b.tolist() == [-1, -1, 1, -1, -1, -1, -1]
+    assert dom.edge_a.tolist() == [0, 0, 0, 0, 1, 1, 1]
+    assert dom.origin_index == 1
+
+
+def test_errors_name_the_first_duplicate_and_the_smallest_unreached_site():
+    with pytest.raises(DuplicateSite, match=r"site \(2,\) listed"):
+        build_domain([[0], [2], [1], [2], [1]], 1)
+    with pytest.raises(DisconnectedDomain, match=r"site \(-5,\) is not connected"):
+        build_domain([[0], [3], [-5], [2]], 1)
+    with pytest.raises(OriginMissing, match="empty"):
+        build_domain([], 2)
+
+
 def test_each_edge_listed_once():
     dom = box_domain(2, 1)
     seen = set()
@@ -129,10 +192,20 @@ def test_each_edge_listed_once():
 
 
 def test_json_round_trip():
-    # a domain is written and read as the "domain" part of the field JSON
-    dom = box_domain(2, 1)
-    text = field_to_json(ConductanceField(dom, np.ones(dom.n_edges)))
-    doc = json.loads(text)["domain"]
-    assert doc["d"] == 2 and len(doc["sites"]) == 9
-    back = field_from_json(text).domain
-    assert domains_equal(dom, back)
+    # a domain is written and read as the "domain" part of the field JSON,
+    # through the one reader of written domains
+    for dom in (box_domain(2, 1), build_domain([[0, 0], [1, 0], [1, 1], [0, -1]], 2)):
+        f = ConductanceField(dom, np.linspace(0.5, 2.0, dom.n_edges))
+        text = field_to_json(f)
+        doc = json.loads(text)["domain"]
+        assert doc == {"d": 2, "sites": dom.sites.tolist()}
+        assert domains_equal(domain_from_spec(doc), dom)
+        back = field_from_json(text)
+        assert domains_equal(dom, back.domain)
+        assert back.weights.tobytes() == f.weights.tobytes()
+
+
+def test_domain_spec_type_defaults_to_sites_when_sites_are_given():
+    dom = domain_from_spec({"d": 1, "sites": [[0], [1], [2]]})
+    assert dom.sites.tolist() == [[0], [1], [2]] and dom.n_edges == 4
+    assert domain_from_spec({"d": 2}).n_sites == 1  # a box without sites

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from rwrc.domain import box_domain, build_domain
+from rwrc.domain import box_domain, build_domain, domain_from_spec, parse_domain_arg
 from rwrc.errors import ArgumentOutOfRange, UnsupportedDomain
 from rwrc.experiments import (
     AnnealedEstimate,
@@ -16,9 +16,7 @@ from rwrc.experiments import (
     annealed_nonexit_is,
     annealed_nonexit_mc,
     annealed_nonexit_quadrature,
-    domain_from_spec,
     ldp_point_check,
-    parse_domain_arg,
     run_cli,
     tauberian_check,
 )
@@ -338,6 +336,16 @@ def test_cli_sample_field(tmp_path):
     assert "version" in summary and summary["wall_time_s"] >= 0.0
 
 
+def test_cli_sites_domain_without_a_type(tmp_path):
+    # a domain with sites and no type used to run on the default box {0}: 2 weights
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": {"d": 1, "sites": [[0], [1], [2]]}, "seed": 1}))
+    out = tmp_path / "field.json"
+    assert run(["sample-field", "--config", cfg, "--out", out]) == 0
+    f = field_from_json(out.read_text())
+    assert f.domain.sites.tolist() == [[0], [1], [2]] and f.weights.shape == (4,)
+
+
 def test_cli_simulate(tmp_path):
     out = tmp_path / "path.csv"
     assert run(["simulate", "--domain", "box1d:1", "--t", 5.0, "--seed", 2, "--out", out]) == 0
@@ -601,6 +609,8 @@ BAD_CONFIG_VALUES = [
     (["ldp-check"], {**TWO_SITE_LDP, "deltas": []}),
     (["ldp-check"], {**TWO_SITE_LDP, "deltas": [0.6, 0.0]}),
     (["ldp-check"], {**TWO_SITE_LDP, "deltas": [0.6, -1]}),
+    # a time of 0 died with a ZeroDivisionError in the tilt's t**(-r)
+    (["ldp-check"], {**TWO_SITE_LDP, "times": [0.0]}),
 ]
 
 
@@ -751,6 +761,16 @@ SMALL_ETA_MC = [
 
 @pytest.mark.parametrize("args", SMALL_ETA_MC, ids=[" ".join(map(str, a[:5])) for a in SMALL_ETA_MC])
 def test_cli_small_eta_monte_carlo_exits_2(tmp_path, capsys, args):
+    assert run(args + ["--out", tmp_path / "mc.csv"]) == 2
+    assert "rwrc: numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_plain_mc_estimate_of_zero_exits_2(tmp_path, capsys):
+    # every field's non-exit probability underflows to 0; the row used to read
+    # 0.0,0.0,-inf,-inf,mc with exit 0, an SE of 0 claiming an exact value
+    args = ["nonexit", "--method", "mc", "--domain", "box1d:1", "--t", 1e5, "--trials", 20,
+            "--seed", 1]
     assert run(args + ["--out", tmp_path / "mc.csv"]) == 2
     assert "rwrc: numerical failure" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
