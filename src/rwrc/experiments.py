@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,20 +61,23 @@ from .walk import occupation_mc, simulate
 
 @dataclass
 class ExperimentConfig:
-    domain: dict
-    eta: float
-    dcoef: float
+    """A run's settings, read once: ``law`` and ``domain`` are built from the
+    document, and ``spec`` keeps the domain as written for ``to_dict``."""
+
+    spec: dict
+    law: TailLaw
     times: list
     trials: int
     inner_trials: int
     deltas: list
     seed: int | None
     out: str | None
+    domain: Domain = field(compare=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        spec = _mapping(doc.get("law", {}), "law")
-        law = TailLaw(_real(spec.get("eta", 1.0), "eta"), _real(spec.get("D", 1.0), "D"))
+        written = _mapping(doc.get("law", {}), "law")
+        law = TailLaw(_real(written.get("eta", 1.0), "eta"), _real(written.get("D", 1.0), "D"))
         times = [require_time(t) for t in _number_list(doc.get("times", [1.0]), "times")]
         if not times:
             raise ArgumentOutOfRange("the time grid is empty")
@@ -85,23 +88,23 @@ class ExperimentConfig:
         seed, out = doc.get("seed"), doc.get("out")
         if not (out is None or isinstance(out, str)):
             raise ArgumentOutOfRange(f"out must be a path, got {out!r}")
-        domain = _mapping(doc.get("domain", {"type": "box", "d": 1, "half_width": 0}), "domain")
+        spec = dict(_mapping(doc.get("domain", {"type": "box", "d": 1, "half_width": 0}), "domain"))
         return cls(
-            domain=dict(domain),
-            eta=law.eta,
-            dcoef=law.dcoef,
+            spec=spec,
+            law=law,
             times=times,
             trials=require_count(doc.get("trials", 10000), 1, "trials"),
             inner_trials=require_count(doc.get("inner_trials", 200), 1, "inner_trials"),
             deltas=deltas,
             seed=None if seed is None else require_count(seed, 0, "seed"),
             out=out,
+            domain=domain_from_spec(spec),
         )
 
     def to_dict(self) -> dict:
         return {
-            "domain": dict(self.domain),
-            "law": {"eta": self.eta, "D": self.dcoef},
+            "domain": dict(self.spec),
+            "law": {"eta": self.law.eta, "D": self.law.dcoef},
             "times": list(self.times),
             "trials": self.trials,
             "inner_trials": self.inner_trials,
@@ -109,12 +112,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "out": self.out,
         }
-
-    def law(self) -> TailLaw:
-        return TailLaw(self.eta, self.dcoef)
-
-    def build_domain(self) -> Domain:
-        return domain_from_spec(self.domain)
 
 
 def _parse_grid(text: str, flag: str) -> list:
@@ -169,8 +166,7 @@ def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Plain Monte Carlo: prior fields, spectral inner probability.  An
     estimate of 0 claims an exact value, so it raises DegenerateWeights."""
     require_count(config.trials, 2, "trials")
-    dom = config.build_domain()
-    law = config.law()
+    dom, law = config.domain, config.law
     rng = _require_rng(config)
     out = []
     for t in config.times:
@@ -197,21 +193,26 @@ def annealed_nonexit_mc(config: ExperimentConfig) -> list[AnnealedEstimate]:
     return out
 
 
-def _tilt_scales(g: ProbabilityProfile, law: TailLaw, t: float) -> np.ndarray:
-    """Per-edge proposal scales: the proposal median tracks t**-r times the
-    optimal environment shape, r = 1/(1+eta), and edges with no profile
-    increment are capped at t**r times the median, so they stay untilted."""
-    r = 1.0 / (1.0 + law.eta)
-    med = float(quantile(law, 0.5))
-    cap = float(t**r) * med
-    target = float(t) ** (-r) * optimal_profile(g, law, cap=cap).weights
-    return target / med
-
-
-def _sample_tilted(
-    law: TailLaw, scales: np.ndarray, n: int, rng: np.random.Generator
+def _tilted_fields(
+    g: ProbabilityProfile, law: TailLaw, t: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw fields from the scale-tilted proposal; return them with log weights."""
+    """Draw n fields from the scale-tilted proposal; return them with log weights.
+
+    Each edge's proposal median tracks t**-r times the optimal environment
+    shape, r = 1/(1+eta), and edges with no profile increment are capped at
+    t**r times the median, so they stay untilted.  A median outside the
+    positive floats (eta below about 5.2e-4 at D = 1) is invalid input.
+    """
+    r = 1.0 / (1.0 + law.eta)
+    with np.errstate(over="ignore"):
+        med = float(quantile(law, 0.5))
+    if not 0.0 < med < math.inf:
+        raise ArgumentOutOfRange(
+            f"the law's median (eta={law.eta:g}, dcoef={law.dcoef:g}) leaves the float range, "
+            "so the tilted proposal is undefined"
+        )
+    cap = float(t**r) * med
+    scales = float(t) ** (-r) * optimal_profile(g, law, cap=cap).weights / med
     x = sample(law, rng, (n, scales.shape[0])) * scales[None, :]
     log_prior = np.asarray(log_density(law, x)).sum(axis=1)
     log_prop = (np.asarray(log_density(law, x / scales[None, :])) - np.log(scales)[None, :]).sum(
@@ -243,8 +244,7 @@ def _ess(logw: np.ndarray) -> float:
 def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
     """Importance sampling with tilted fields, spectral inner probability."""
     require_count(config.trials, 2, "trials")
-    dom = config.build_domain()
-    law = config.law()
+    dom, law = config.domain, config.law
     rng = _require_rng(config)
     g_star = solve_L(dom, law.eta).minimizer
     out = []
@@ -252,8 +252,7 @@ def annealed_nonexit_is(config: ExperimentConfig) -> list[AnnealedEstimate]:
         if t == 0.0:
             out.append(AnnealedEstimate(0.0, 1.0, 0.0, 0.0, 0.0, "is", 0.0, float(config.trials)))
             continue
-        scales = _tilt_scales(g_star, law, t)
-        x, logw = _sample_tilted(law, scales, config.trials, rng)
+        x, logw = _tilted_fields(g_star, law, t, config.trials, rng)
         ess = _ess(logw)
         if ess < 10.0:
             raise DegenerateWeights(f"effective sample size {ess:.2f} is below 10")
@@ -322,61 +321,49 @@ def ldp_point_check(config: ExperimentConfig, g: ProbabilityProfile) -> dict:
     """
     require_count(config.trials, 2, "trials")
     times = [require_positive(t, "time") for t in config.times]
-    dom = config.build_domain()
+    dom, law = config.domain, config.law
     if dom.n_sites > 3:
         raise DomainTooLarge("profile tracking check supports at most 3 sites")
     require_same_domain(g, dom)
-    law = config.law()
     rng = _require_rng(config)
     j_val = joint_rate_J(g, law)
     g2 = g.measure()
     q = law.eta / (law.eta + 1.0)
-    deltas = config.deltas
+    column = np.array(config.deltas)[:, None]
     rows = []
     by_time = []
     ok_all = True
     for t in times:
-        scales = _tilt_scales(g, law, t)
-        x, logw = _sample_tilted(law, scales, config.trials, rng)
+        x, logw = _tilted_fields(g, law, t, config.trials, rng)
         ess = _ess(logw)
-        fracs = np.zeros((len(deltas), config.trials))
+        # fracs[k, i]: the share of field i's walkers alive and within delta k
+        fracs = np.empty((column.shape[0], config.trials))
         for i in range(config.trials):
-            f = ConductanceField(dom, x[i])
-            exited, _, occ = occupation_mc(f, t, config.inner_trials, rng)
+            exited, _, occ = occupation_mc(ConductanceField(dom, x[i]), t, config.inner_trials, rng)
             dist = np.linalg.norm(occ / t - g2[None, :], axis=1)
-            for k, delta in enumerate(deltas):
-                fracs[k, i] = np.mean(~exited & (dist <= delta))
-        rescaled = {}
-        for k, delta in enumerate(deltas):
-            with np.errstate(divide="ignore"):
-                log_frac = np.log(fracs[k])
-            log_est, rel_se = _log_weighted_mean(logw + log_frac)
-            resc = float(t ** (-q) * log_est)
-            rescaled[delta] = (resc, rel_se)
-            rows.append(
-                {
-                    "t": float(t),
-                    "delta": float(delta),
-                    "log_estimate": float(log_est),
-                    "rescaled": resc,
-                    "rel_se": float(rel_se),
-                }
-            )
-        resc_big, rel_se_big = rescaled[deltas[0]]
+            fracs[:, i] = np.mean(~exited & (dist <= column), axis=1)
+        with np.errstate(divide="ignore"):  # a delta with no hits has a log of -inf
+            stats = [_log_weighted_mean(logw + np.log(frac)) for frac in fracs]
+        resc = [_rescale(law, t, log_est) for log_est, _ in stats]
+        rows += [
+            {"t": t, "delta": d, "log_estimate": log_est, "rescaled": r, "rel_se": float(rel_se)}
+            for d, (log_est, rel_se), r in zip(config.deltas, stats, resc)
+        ]
+        wide_rel_se = stats[0][1]
         # the slack comes from the narrowest delta that any walker landed within:
         # an empty one has a -inf row and would make the slack inf
-        hit = [rescaled[d][0] for d in deltas if np.isfinite(rescaled[d][0])]
-        slack = abs(resc_big - hit[-1]) if hit else 0.0
-        tol = 3.0 * t ** (-q) * (rel_se_big if np.isfinite(rel_se_big) else 0.0)
-        ok = bool(resc_big >= -j_val - slack - tol)
+        hit = [v for v in resc if np.isfinite(v)]
+        slack = abs(resc[0] - hit[-1]) if hit else 0.0
+        tol = 3.0 * t ** (-q) * (wide_rel_se if np.isfinite(wide_rel_se) else 0.0)
+        ok = bool(resc[0] >= -j_val - slack - tol)
         ok_all = ok_all and ok
         by_time.append(
-            {"t": float(t), "slack": float(slack), "rescaled": float(resc_big), "ess": ess, "ok": ok}
+            {"t": float(t), "slack": float(slack), "rescaled": float(resc[0]), "ess": ess, "ok": ok}
         )
     return {
         "rate_value": float(j_val),
         "profile": g.values.tolist(),
-        "deltas": [float(d) for d in deltas],
+        "deltas": [float(d) for d in config.deltas],
         "rows": rows,
         "by_time": by_time,
         "lower_bound_ok": bool(ok_all),
@@ -394,16 +381,16 @@ def _require_rng(config: ExperimentConfig) -> np.random.Generator:
 
 
 def _run_sample_field(args, config: ExperimentConfig):
-    dom = config.build_domain()
-    f = sample_field(config.law(), dom, _require_rng(config))
+    dom = config.domain
+    f = sample_field(config.law, dom, _require_rng(config))
     status = f"sample-field: {dom.n_edges} weights"
     return "field.json", field_to_json(f), {"n_edges": dom.n_edges}, status, 0
 
 
 def _run_simulate(args, config: ExperimentConfig):
-    dom = config.build_domain()
+    dom = config.domain
     rng = _require_rng(config)
-    f = sample_field(config.law(), dom, rng)
+    f = sample_field(config.law, dom, rng)
     t = config.times[0]
     p = simulate(f, t, rng)
     header = ["step", "time"] + [f"x{i}" for i in range(dom.d)]
@@ -418,8 +405,7 @@ def _run_simulate(args, config: ExperimentConfig):
 
 
 def _run_solve_variational(args, config: ExperimentConfig):
-    dom = config.build_domain()
-    res = solve_L(dom, config.eta)
+    res = solve_L(config.domain, config.law.eta)
     doc = {
         "L": res.value,
         "minimizer": res.minimizer.values.tolist(),
@@ -429,16 +415,15 @@ def _run_solve_variational(args, config: ExperimentConfig):
         "converged_restarts": res.converged_restarts,
     }
     if args.brute_force:
-        doc["brute_force_L"] = brute_force_L(dom, config.eta).value
+        doc["brute_force_L"] = brute_force_L(config.domain, config.law.eta).value
     return "variational.json", doc, {}, f"solve-variational: L={res.value:.9g}", 0
 
 
 def _run_nonexit(args, config: ExperimentConfig):
     if args.method == "quadrature":
-        dom = config.build_domain()
-        if dom.n_sites != 1 or dom.d != 1:
+        if config.domain.n_sites != 1 or config.domain.d != 1:
             raise UnsupportedDomain("quadrature non-exit requires the single-site domain in d=1")
-        estimates = [annealed_nonexit_quadrature(config.law(), t) for t in config.times]
+        estimates = [annealed_nonexit_quadrature(config.law, t) for t in config.times]
     elif args.method == "mc":
         estimates = annealed_nonexit_mc(config)
     else:
@@ -451,11 +436,10 @@ def _run_nonexit(args, config: ExperimentConfig):
 
 
 def _run_eigen_tail(args, config: ExperimentConfig):
-    dom = config.build_domain()
     eps_list = _parse_grid(args.eps, "--eps")
     rng = _require_rng(config) if args.method == "mc" else None
     points = eigen_tail(
-        config.law(), dom, eps_list, method=args.method, n_fields=config.trials, rng=rng
+        config.law, config.domain, eps_list, method=args.method, n_fields=config.trials, rng=rng
     )
     rows = [["eps", "prob", "log_prob", "eps_eta_log_prob"]]
     rows += [[pt.eps, pt.prob, pt.log_prob, pt.scaled_log] for pt in points]
@@ -464,7 +448,7 @@ def _run_eigen_tail(args, config: ExperimentConfig):
 
 
 def _run_tauberian(args, config: ExperimentConfig):
-    points = tauberian_check(config.law(), args.m_const, config.times)
+    points = tauberian_check(config.law, args.m_const, config.times)
     rows = [["t", "value", "target"]] + [[p.t, p.value, p.target] for p in points]
     pt = points[-1]
     status = f"tauberian: M={args.m_const:g} t={pt.t:g} value={pt.value:.6g} target={pt.target:.6g}"
@@ -472,8 +456,7 @@ def _run_tauberian(args, config: ExperimentConfig):
 
 
 def _run_ldp_check(args, config: ExperimentConfig):
-    dom = config.build_domain()
-    g = solve_L(dom, config.eta).minimizer
+    g = solve_L(config.domain, config.law.eta).minimizer
     report = ldp_point_check(config, g)
     status = "ok" if report["lower_bound_ok"] else "violated"
     status = f"ldp-check: rate={report['rate_value']:.6g} lower bound {status}"
@@ -485,7 +468,7 @@ def _run_girsanov_test(args, config: ExperimentConfig):
     if not (0 < lo <= hi):
         raise ArgumentOutOfRange("the target band must satisfy 0 < lo <= hi")
     require_count(config.trials, 2, "trials")
-    dom = config.build_domain()
+    dom = config.domain
     rng = _require_rng(config)
     t = config.times[0]
     psi = ConductanceField(dom, np.ones(dom.n_edges))

@@ -153,8 +153,7 @@ def _simulate_batch(
     *,
     n: int,
     rng: np.random.Generator,
-    want_occupation: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep simulation of n independent paths.
 
     Only the live walkers are held: ``ids``, ``cur`` and ``now`` list the
@@ -177,9 +176,9 @@ def _simulate_batch(
     exponential, uniform = rng.standard_exponential, rng.random
     exited = np.zeros(n, dtype=bool)
     end_time = np.full(n, float(t))
-    occ = np.zeros((n, n_sites)) if want_occupation else None
+    occ = np.zeros((n, n_sites))
     # occ[i, x] is cells[i * n_sites + x]; a flat index is cheaper than a pair
-    cells = occ.reshape(-1) if want_occupation else None
+    cells = occ.reshape(-1)
     ids = np.arange(n)
     cur = np.full(n, dom.origin_index, dtype=np.int64)
     now = np.zeros(n)
@@ -188,14 +187,12 @@ def _simulate_batch(
         t_new = now + dt
         over = t_new > t
         if np.count_nonzero(over):
-            if want_occupation:
-                cells[ids[over] * n_sites + cur[over]] += t - now[over]
+            cells[ids[over] * n_sites + cur[over]] += t - now[over]
             keep = ~over
             ids, cur, dt, t_new = ids[keep], cur[keep], dt[keep], t_new[keep]
             if not ids.size:
                 break
-        if want_occupation:
-            cells[ids * n_sites + cur] += dt
+        cells[ids * n_sites + cur] += dt
         now = t_new
         u = uniform(ids.size)
         slot = cur * deg  # flat index into site_nbrs of the row's first column
@@ -218,7 +215,7 @@ def nonexit_mc(
 ) -> tuple[float, float]:
     """Monte Carlo non-exit probability with its binomial standard error."""
     n = require_count(n, 2, "n_paths")
-    exited, _, _ = _simulate_batch(f, require_time(t), n=n, rng=rng, want_occupation=False)
+    exited, _, _ = _simulate_batch(f, require_time(t), n=n, rng=rng)
     p = float(np.mean(~exited))
     se = float(np.sqrt(p * (1.0 - p) / n))
     return p, se
@@ -229,4 +226,4 @@ def occupation_mc(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exit flags, end times, and per-site occupation for n independent paths."""
     n = require_count(n, 1, "n_paths")
-    return _simulate_batch(f, require_time(t), n=n, rng=rng, want_occupation=True)
+    return _simulate_batch(f, require_time(t), n=n, rng=rng)

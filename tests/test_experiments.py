@@ -134,7 +134,7 @@ def test_estimators_at_t_zero():
 def test_is_matches_quadrature():
     c = make_config(times=[1000.0], trials=10000, seed=1)
     est = annealed_nonexit_is(c)[0]
-    ref = annealed_nonexit_quadrature(c.law(), 1000.0)
+    ref = annealed_nonexit_quadrature(c.law, 1000.0)
     assert est.ess is not None and est.ess >= 10.0
     # rel_se is the standard error of the log estimate to first order
     assert abs(est.log_estimate - ref.log_estimate) <= 3.0 * est.rel_se
@@ -144,7 +144,7 @@ def test_is_matches_quadrature():
 def test_plain_mc_consistent_at_moderate_horizon():
     c = make_config(times=[10.0], trials=2000, seed=7)
     mc = annealed_nonexit_mc(c)[0]
-    ref = annealed_nonexit_quadrature(c.law(), 10.0)
+    ref = annealed_nonexit_quadrature(c.law, 10.0)
     assert abs(mc.estimate - ref.estimate) <= 3.0 * mc.se
 
 
@@ -154,7 +154,7 @@ def test_is_beats_plain_mc():
     c = make_config(times=[100.0], trials=2000, seed=7)
     mc = annealed_nonexit_mc(c)[0]
     isa = annealed_nonexit_is(c)[0]
-    ref = annealed_nonexit_quadrature(c.law(), 100.0)
+    ref = annealed_nonexit_quadrature(c.law, 100.0)
     assert isa.rel_se < 0.5 * mc.rel_se
     assert abs(isa.log_estimate - ref.log_estimate) <= 3.0 * isa.rel_se
     assert mc.estimate < 0.01 * ref.estimate
@@ -200,9 +200,9 @@ def test_ldp_point_check_two_sites():
         "seed": 21,
     }
     c = ExperimentConfig.from_dict(doc)
-    g = solve_L(c.build_domain(), 1.0).minimizer
+    g = solve_L(c.domain, 1.0).minimizer
     report = ldp_point_check(c, g)
-    assert report["rate_value"] == pytest.approx(joint_rate_J(g, c.law()), abs=1e-12)
+    assert report["rate_value"] == pytest.approx(joint_rate_J(g, c.law), abs=1e-12)
     assert report["deltas"] == [0.6, 0.3]
     assert {(r["t"], r["delta"]) for r in report["rows"]} == {(16.0, 0.6), (16.0, 0.3)}
     bt = report["by_time"][0]
@@ -227,7 +227,7 @@ def test_ldp_huge_delta_reduces_to_survival():
         "seed": 5,
     }
     c = ExperimentConfig.from_dict(doc)
-    g = solve_L(c.build_domain(), 1.0).minimizer
+    g = solve_L(c.domain, 1.0).minimizer
     report = ldp_point_check(c, g)
     assert report["by_time"][0]["slack"] == 0.0
     rows = report["rows"]
@@ -246,7 +246,7 @@ def test_ldp_slack_skips_a_delta_with_no_hits():
         "inner_trials": 400,
         "seed": 1,
     }
-    g = solve_L(ExperimentConfig.from_dict(doc).build_domain(), 1.5).minimizer
+    g = solve_L(ExperimentConfig.from_dict(doc).domain, 1.5).minimizer
     both = ldp_point_check(ExperimentConfig.from_dict({**doc, "deltas": [0.6, 0.001]}), g)
     wide = ldp_point_check(ExperimentConfig.from_dict({**doc, "deltas": [0.6]}), g)
     assert both["rows"][1]["log_estimate"] == -math.inf
@@ -292,7 +292,7 @@ def test_ldp_needs_two_trials():
         "seed": 6,
     }
     c = ExperimentConfig.from_dict(doc)
-    g = solve_L(c.build_domain(), 1.5).minimizer
+    g = solve_L(c.domain, 1.5).minimizer
     with pytest.raises(ArgumentOutOfRange):
         ldp_point_check(c, g)
 
@@ -611,6 +611,15 @@ BAD_CONFIG_VALUES = [
     (["ldp-check"], {**TWO_SITE_LDP, "deltas": [0.6, -1]}),
     # a time of 0 died with a ZeroDivisionError in the tilt's t**(-r)
     (["ldp-check"], {**TWO_SITE_LDP, "times": [0.0]}),
+    # a command that never used its domain wrote output without checking it
+    (["tauberian"], {"domain": {"type": "blob"}}),
+    (["tauberian"], {"domain": {"type": "sites", "d": 1, "sites": [[1]]}}),
+    # the tilt's median overflows below eta of about 5.2e-4 at D = 1; this used to
+    # warn and fail on an internal cap the user never set
+    (["ldp-check", "--domain", "box1d:0", "--t", 1, "--trials", 2, "--seed", 1, "--eta", 1e-9],
+     None),
+    (["nonexit", "--method", "is", "--domain", "box1d:0", "--t", 1, "--trials", 2, "--seed", 1,
+      "--eta", 1e-9], None),
 ]
 
 
@@ -638,7 +647,7 @@ def test_config_reads_integral_floats_as_integers():
         {"seed": 3.0, "domain": {"type": "box", "d": 2.0, "half_width": 1.0}}
     )
     assert c.seed == 3 and type(c.seed) is int
-    assert c.build_domain().n_sites == 9
+    assert c.domain.n_sites == 9
 
 
 # times that are negative or not finite (flags, config): invalid input, no output

@@ -293,7 +293,7 @@ def test_simulate_matches_numpy_reference_bit_for_bit(name, data, t, seed):
     assert rng.random() == ref_rng.random()
 
 
-def reference_simulate_batch(f, dom, t, n, rng, want_occupation):
+def reference_simulate_batch(f, dom, t, n, rng):
     """The lockstep engine on full-size arrays: an ``alive`` mask gathered and
     scattered every step, and the edge picked by argmax over the row."""
     tables = _walk_tables(f)
@@ -304,7 +304,7 @@ def reference_simulate_batch(f, dom, t, n, rng, want_occupation):
     alive = np.ones(n, dtype=bool)
     exited = np.zeros(n, dtype=bool)
     end_time = np.full(n, float(t))
-    occ = np.zeros((n, dom.n_sites)) if want_occupation else None
+    occ = np.zeros((n, dom.n_sites))
     while True:
         idx = np.flatnonzero(alive)
         if idx.size == 0:
@@ -314,14 +314,13 @@ def reference_simulate_batch(f, dom, t, n, rng, want_occupation):
         t_new = now[idx] + dt
         over = t_new > t
         fin = idx[over]
-        if fin.size and want_occupation:
+        if fin.size:
             occ[fin, cur[fin]] += t - now[fin]
         alive[fin] = False
         mov = idx[~over]
         if mov.size == 0:
             continue
-        if want_occupation:
-            occ[mov, cur[mov]] += dt[~over]
+        occ[mov, cur[mov]] += dt[~over]
         now[mov] = t_new[~over]
         u = rng.random(mov.size)
         rows = cum[cur[mov]]
@@ -350,12 +349,11 @@ BATCH_DOMAINS = {
 @given(
     data=st.data(),
     t=st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.just(16.0)),
-    want_occupation=st.booleans(),
     faint_site=st.one_of(st.none(), st.integers(0, 24)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lockstep_engine_matches_reference_bit_for_bit(
-    name, data, t, n, want_occupation, faint_site, seed
+    name, data, t, n, faint_site, seed
 ):
     dom = BATCH_DOMAINS[name]
     w = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=dom.n_edges, max_size=dom.n_edges)))
@@ -369,12 +367,9 @@ def test_lockstep_engine_matches_reference_bit_for_bit(
     if faint_site is not None:
         assert abs(_walk_tables(f).cum[site, -2] - 1.0) <= 4e-16
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    exited, end_time, occ = _simulate_batch(f, t, n=n, rng=rng, want_occupation=want_occupation)
-    want_exited, want_end, want_occ = reference_simulate_batch(f, dom, t, n, ref_rng, want_occupation)
+    exited, end_time, occ = _simulate_batch(f, t, n=n, rng=rng)
+    want_exited, want_end, want_occ = reference_simulate_batch(f, dom, t, n, ref_rng)
     assert exited.dtype == want_exited.dtype and np.array_equal(exited, want_exited)
     assert end_time.dtype == want_end.dtype and np.all(end_time == want_end)
-    if want_occupation:
-        assert occ.shape == want_occ.shape and np.all(occ == want_occ)
-    else:
-        assert occ is None and want_occ is None
+    assert occ.shape == want_occ.shape and np.all(occ == want_occ)
     assert rng.random() == ref_rng.random()
